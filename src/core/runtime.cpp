@@ -6,6 +6,7 @@
 
 #include "core/action.hpp"
 #include "core/echo.hpp"
+#include "core/knobs.hpp"
 #include "core/percolation.hpp"
 #include "introspect/query.hpp"
 #include "lco/lco.hpp"
@@ -40,128 +41,56 @@ parcel::action_id sink_action_id() {
 
 namespace {
 
-// Resolves the transport backend + distributed identity before any member
-// whose size depends on the locality count constructs (AGAS shards are per
-// locality, and under the tcp backend the locality count *is* the rank
-// count from the launcher's environment).
-runtime_params resolve_net(runtime_params p) {
-  util::config cfg;
-  cfg.load_environment();
-  if (p.net.backend.empty()) {
-    p.net.backend = cfg.get_string("net.backend", "sim");
+// Action ids are positional (assigned in registration order), so every
+// process must hold the identical table before cross-process dispatch: a
+// parcel carries only the id, and rank A's id 7 must be rank B's id 7.
+// Static registrations (PX_REGISTER_ACTION) of one binary are
+// link-ordered and deterministic; this snapshot, traded at bootstrap,
+// catches mismatched binaries — or eager-vs-lazy registration drift —
+// before the first parcel instead of as a wrong-action dispatch.
+std::string action_table_snapshot() {
+  auto& reg = parcel::action_registry::global();
+  std::string out;
+  const auto n = static_cast<parcel::action_id>(reg.size());
+  for (parcel::action_id id = 1; id <= n; ++id) {
+    out += reg.name_of(id);
+    out += '\n';
   }
-  if (p.net.rank < 0) p.net.rank = cfg.get_int("net.rank", 0);
-  if (p.net.ranks <= 0) p.net.ranks = cfg.get_int("net.ranks", 0);
-  if (p.net.listen.empty()) {
-    p.net.listen = cfg.get_string("net.listen", "127.0.0.1:0");
-  }
-  if (p.net.root.empty()) {
-    p.net.root = cfg.get_string("net.root", "127.0.0.1:7733");
-  }
-  if (p.net.migration < 0) {
-    p.net.migration = cfg.get_bool("migration", true) ? 1 : 0;
-  }
-  PX_ASSERT_MSG(p.net.backend == "sim" || p.net.backend == "tcp" ||
-                    p.net.backend == "shm",
+  return out;
+}
+
+// Resolves every knob before any member whose size depends on the
+// locality count constructs (AGAS shards are per locality, and under a
+// distributed backend the locality count *is* the rank count from the
+// launcher's environment).
+runtime_params resolve_knobs(runtime_params p) {
+  knobs::resolve(p);
+  const std::string& backend = *p.net.backend;
+  PX_ASSERT_MSG(backend == "sim" || backend == "tcp" || backend == "shm",
                 "PX_NET_BACKEND must be \"sim\", \"tcp\", or \"shm\"");
-  if (p.net.backend == "tcp" || p.net.backend == "shm") {
-    PX_ASSERT_MSG(p.net.ranks >= 1,
+  if (backend != "sim") {
+    PX_ASSERT_MSG(*p.net.ranks >= 1,
                   "distributed backend: PX_NET_RANKS (or net.ranks) required");
-    PX_ASSERT_MSG(p.net.rank >= 0 && p.net.rank < p.net.ranks,
+    PX_ASSERT_MSG(*p.net.rank >= 0 && *p.net.rank < *p.net.ranks,
                   "PX_NET_RANK out of range");
-    p.localities = static_cast<std::size_t>(p.net.ranks);
+    p.localities = static_cast<std::size_t>(*p.net.ranks);
   }
+  // parcel::forwards is u8: a bound of 255 could never trip (the counter
+  // would wrap to 0 first), silently restoring unbounded forwarding.
+  p.max_forwards = std::min<std::uint8_t>(*p.max_forwards, 254);
   return p;
 }
 
 }  // namespace
 
 runtime::runtime(runtime_params params)
-    : params_(resolve_net(std::move(params))),
+    : params_(resolve_knobs(std::move(params))),
       agas_(params_.localities),
       introspect_(agas_, names_) {
   PX_ASSERT(params_.localities >= 1);
-  distributed_ =
-      params_.net.backend == "tcp" || params_.net.backend == "shm";
-  rank_ = distributed_ ? static_cast<gas::locality_id>(params_.net.rank) : 0;
+  distributed_ = *params_.net.backend != "sim";
+  rank_ = distributed_ ? static_cast<gas::locality_id>(*params_.net.rank) : 0;
   params_.fabric.endpoints = params_.localities;
-  // parcel::forwards is u8: a bound of 255 could never trip (the counter
-  // would wrap to 0 first), silently restoring unbounded forwarding.
-  params_.max_forwards = std::min<std::uint8_t>(params_.max_forwards, 254);
-
-  // Coalescing thresholds: explicit params win, then PX_PARCEL_FLUSH_*
-  // environment variables, then built-in defaults.  The eager-flush and
-  // rebalancer knobs resolve the same way (PX_PARCEL_EAGER_FLUSH,
-  // PX_REBALANCE, PX_REBALANCE_*).
-  parcel_port_params pp;
-  rebalancer_params rp;
-  {
-    util::config cfg;
-    cfg.load_environment();
-    if (params_.parcel_flush_bytes == 0) {
-      params_.parcel_flush_bytes = static_cast<std::size_t>(cfg.get_int(
-          "parcel.flush_bytes", static_cast<std::int64_t>(pp.flush_bytes)));
-    }
-    if (params_.parcel_flush_count == 0) {
-      params_.parcel_flush_count = static_cast<std::uint32_t>(cfg.get_int(
-          "parcel.flush_count", static_cast<std::int64_t>(pp.flush_count)));
-    }
-    eager_flush_ = params_.parcel_eager_flush < 0
-                       ? cfg.get_bool("parcel.eager_flush", true)
-                       : params_.parcel_eager_flush != 0;
-    rp.enabled = params_.rebalance < 0 ? cfg.get_bool("rebalance", false)
-                                       : params_.rebalance != 0;
-    rp.threshold = params_.rebalance_threshold > 0.0
-                       ? params_.rebalance_threshold
-                       : cfg.get_double("rebalance.threshold", rp.threshold);
-    rp.min_depth =
-        params_.rebalance_min_depth > 0
-            ? params_.rebalance_min_depth
-            : static_cast<std::uint32_t>(cfg.get_int(
-                  "rebalance.min_depth",
-                  static_cast<std::int64_t>(rp.min_depth)));
-    rp.max_migrations =
-        params_.rebalance_max_migrations > 0
-            ? params_.rebalance_max_migrations
-            : static_cast<std::uint32_t>(cfg.get_int(
-                  "rebalance.max_migrations",
-                  static_cast<std::int64_t>(rp.max_migrations)));
-    rp.interval_us =
-        params_.rebalance_interval_us > 0
-            ? params_.rebalance_interval_us
-            : static_cast<std::uint64_t>(cfg.get_int(
-                  "rebalance.interval_us",
-                  static_cast<std::int64_t>(rp.interval_us)));
-    if (params_.trace < 0) {
-      params_.trace = cfg.get_bool("trace", false) ? 1 : 0;
-    } else {
-      params_.trace = params_.trace != 0 ? 1 : 0;
-    }
-    if (params_.trace_ring_bytes == 0) {
-      params_.trace_ring_bytes = static_cast<std::size_t>(
-          cfg.get_int("trace.ring_bytes", 1 << 20));
-    }
-    if (params_.trace_dir.empty()) {
-      params_.trace_dir = cfg.get_string("trace.dir", ".");
-    }
-    if (params_.stats < 0) {
-      params_.stats = cfg.get_bool("stats", false) ? 1 : 0;
-    } else {
-      params_.stats = params_.stats != 0 ? 1 : 0;
-    }
-    if (params_.stats_interval_us == 0) {
-      params_.stats_interval_us =
-          static_cast<std::uint64_t>(cfg.get_int("stats.interval_us", 10'000));
-    }
-    if (params_.stats_dir.empty()) {
-      params_.stats_dir = cfg.get_string("stats.dir", ".");
-    }
-  }
-  // Normalize the resolved toggles into params_ so rank 0's wire blob
-  // carries them (apply_wire_params overwrites them on other ranks — the
-  // whole machine must agree on routing/forwarding/rebalance behavior).
-  params_.rebalance = rp.enabled ? 1 : 0;
-  migration_enabled_ = distributed_ && params_.net.migration != 0;
 
   threads::scheduler_params sp;
   sp.workers = params_.workers_per_locality;
@@ -204,40 +133,27 @@ runtime::runtime(runtime_params params)
   // its ctor ends).
   std::vector<std::string> peer_table;
   if (distributed_) {
-    if (params_.net.backend == "tcp") {
+    if (*params_.net.backend == "tcp") {
       net::tcp_params tp;
       tp.rank = rank_;
       tp.nranks = static_cast<std::uint32_t>(params_.localities);
-      tp.listen = params_.net.listen;
+      tp.listen = *params_.net.listen;
       dist_ = std::make_unique<net::tcp_transport>(tp);
     } else {
-      util::config shm_cfg;
-      shm_cfg.load_environment();
       net::shm_params sp;
       sp.rank = rank_;
       sp.nranks = static_cast<std::uint32_t>(params_.localities);
-      sp.ring_bytes = static_cast<std::size_t>(shm_cfg.get_int(
-          "shm.ring_bytes", static_cast<std::int64_t>(sp.ring_bytes)));
-      sp.spin_us = shm_cfg.get_int("shm.spin_us", sp.spin_us);
+      sp.ring_bytes = knobs::shm_ring_bytes();
+      sp.spin_us = knobs::shm_spin_us();
       dist_ = std::make_unique<net::shm_transport>(sp);
     }
-    // Resilience knobs + fault plan resolve from this rank's own
-    // environment: the heartbeat/lease must be live *before* the wire-params
-    // exchange (a rank that dies mid-boot must not hang the others), so
-    // they cannot ride rank 0's blob; launchers set them uniformly.
-    util::config rcfg;
-    rcfg.load_environment();
     net::bootstrap_params bp;
     bp.rank = rank_;
     bp.nranks = static_cast<std::uint32_t>(params_.localities);
-    bp.root = params_.net.root;
-    bp.heartbeat_interval_us = static_cast<std::uint64_t>(rcfg.get_int(
-        "heartbeat.interval_us",
-        static_cast<std::int64_t>(bp.heartbeat_interval_us)));
-    bp.lease_ms = static_cast<std::uint64_t>(
-        rcfg.get_int("lease.ms", static_cast<std::int64_t>(bp.lease_ms)));
-    if (rcfg.contains("fault")) {
-      const std::string spec = rcfg.get_string("fault", "");
+    bp.root = *params_.net.root;
+    bp.heartbeat_interval_us = knobs::heartbeat_interval_us();
+    bp.lease_ms = knobs::lease_ms();
+    if (const std::string spec = knobs::fault_plan(); !spec.empty()) {
       const auto plan = util::fault_plan::parse(spec);
       PX_ASSERT_MSG(plan.has_value(),
                     "PX_FAULT does not parse — a fault plan that cannot arm "
@@ -255,12 +171,20 @@ runtime::runtime(runtime_params params)
       note_peer_failure(static_cast<gas::locality_id>(r));
     });
     bootstrap_ = std::make_unique<net::bootstrap>(bp);
+    // Rank 0's machine-scope knobs win everywhere (core/knobs.hpp); its
+    // action table rides along for verification.
     const std::vector<std::byte> blob =
-        rank_ == 0 ? encode_wire_params() : std::vector<std::byte>{};
+        rank_ == 0 ? knobs::encode_machine(params_, action_table_snapshot())
+                   : std::vector<std::byte>{};
     auto ex = bootstrap_->exchange(dist_->listen_address(), blob);
-    // Rank 0's wire-relevant knobs win everywhere: ranks coalescing with
-    // different thresholds or forward bounds would be a debugging trap.
-    if (rank_ != 0) apply_wire_params(ex.params_blob);
+    if (rank_ != 0) {
+      PX_ASSERT_MSG(
+          knobs::apply_machine(params_, ex.params_blob) ==
+              action_table_snapshot(),
+          "ranks disagree on the registered action table — all ranks must "
+          "run the same binary, and actions used cross-process must be "
+          "registered eagerly (PX_REGISTER_ACTION)");
+    }
     peer_table = std::move(ex.endpoints);
     transport_ = dist_.get();
   } else {
@@ -268,12 +192,17 @@ runtime::runtime(runtime_params params)
     transport_ = fabric_.get();
   }
 
-  // Re-read the toggles the exchange may have overwritten (rank 0's values
-  // win machine-wide).  Cross-process rebalancing *is* cross-process
-  // migration, so it cannot run with the protocol off.
-  rp.enabled = params_.rebalance != 0;
+  // Rank-scope rebalancer tuning and the machine-agreed toggle.
+  // Cross-process rebalancing *is* cross-process migration, so it cannot
+  // run with the protocol off.
+  rebalancer_params rp;
+  rp.enabled = *params_.rebalance;
+  rp.threshold = *params_.rebalance_threshold;
+  rp.min_depth = *params_.rebalance_min_depth;
+  rp.max_migrations = *params_.rebalance_max_migrations;
+  rp.interval_us = *params_.rebalance_interval_us;
   if (distributed_) {
-    migration_enabled_ = params_.net.migration != 0;
+    migration_enabled_ = *params_.net.migration;
     if (rp.enabled && !migration_enabled_) {
       PX_LOG_WARN("rebalancer disabled: PX_MIGRATION=0 pins objects to "
                   "their home ranks");
@@ -281,8 +210,9 @@ runtime::runtime(runtime_params params)
     }
   }
 
-  pp.flush_bytes = params_.parcel_flush_bytes;
-  pp.flush_count = std::max<std::uint32_t>(1, params_.parcel_flush_count);
+  parcel_port_params pp;
+  pp.flush_bytes = *params_.parcel_flush_bytes;
+  pp.flush_count = std::max<std::uint32_t>(1, *params_.parcel_flush_count);
 
   for (std::size_t i = 0; i < params_.localities; ++i) {
     if (localities_[i] == nullptr) {
@@ -340,9 +270,9 @@ runtime::runtime(runtime_params params)
   // non-zero ranks.
   {
     introspect::stats_params stp;
-    stp.enabled = params_.stats != 0;
-    stp.interval_us = params_.stats_interval_us;
-    stp.dir = params_.stats_dir;
+    stp.enabled = *params_.stats;
+    stp.interval_us = *params_.stats_interval_us;
+    stp.dir = *params_.stats_dir;
     stp.rank = static_cast<std::uint32_t>(rank_);
     stats_ = std::make_unique<introspect::stats_collector>(introspect_, stp);
   }
@@ -371,242 +301,250 @@ runtime::runtime(runtime_params params)
     // samples are not polluted by the connect storm.  Collective, so it
     // runs only under the machine-agreed toggles (rank 0's wire blob) —
     // the trace and stats planes share one offset.
-    if (params_.trace != 0 || params_.stats != 0) {
+    if (*params_.trace || *params_.stats) {
       clock_offset_ns_ = bootstrap_->clock_sync();
     }
   }
   // Arm the flight recorder last: every consumer above is wired and no
   // parcel can have flowed yet, so the rings start at a clean epoch.
-  trace::recorder::global().configure(
-      params_.trace != 0, params_.trace_ring_bytes, params_.trace_dir,
-      static_cast<std::uint32_t>(rank_));
-  if (params_.trace != 0) trace_boot_counters_ = introspect_.snapshot_all();
+  trace::recorder::global().configure(*params_.trace, knobs::trace_ring_bytes(),
+                                     *params_.trace_dir,
+                                     static_cast<std::uint32_t>(rank_));
+  if (*params_.trace) trace_boot_counters_ = introspect_.snapshot_all();
   // Same epoch discipline for the stats sampler: armed only now, so its
   // t=0 tick (and every parcel send-timestamp stamp) happens after the
   // offset is known.
-  if (params_.stats != 0) {
+  if (*params_.stats) {
     stats_->set_clock_offset(clock_offset_ns_);
     stats_->arm();
   }
 }
 
+// ---------------------------------------------------------------- counters
+//
 // Every load-bearing runtime quantity becomes a first-class, gid-named,
 // path-addressable counter (paper: hardware resources are typed first-class
 // entities).  Schema: runtime/loc<i>/<subsystem>/<metric> for per-locality
 // counters, runtime/<service>/<metric> for machine-global ones (homed at
-// locality 0, which hosts the global services).
-//
-// Distributed mode replays the *identical* registration sequence in every
-// process — locality slots this process doesn't host (and the globals on
-// non-zero ranks) register sampler-less via add_remote — so counter gids
-// allocate in the same order machine-wide and any rank can query any
-// other's counters by path or gid (introspect::query_counter pays a parcel
-// round trip to the home rank, whose registry holds the live callback).
-// Keep both arms of the branch below in lock-step when adding counters.
-void runtime::register_counters() {
-  // Per-locality schema, in registration order (remote replay).
-  static constexpr const char* kLocalitySchema[] = {
-      "/sched/ready_depth", "/sched/live_threads", "/sched/spawned",
-      "/sched/steals", "/sched/suspends", "/sched/sleeps",
-      "/parcels/sent", "/parcels/delivered", "/parcels/forwarded",
-      "/parcels/dropped", "/port/pending", "/port/enqueued",
-      "/port/frames_sent", "/port/eager_flushes", "/fabric/frames_sent",
-      "/fabric/parcels_sent", "/fabric/bytes_sent",
-      "/monitor/ready_ewma_milli", "/monitor/samples", "/net/bytes_tx",
-      "/net/bytes_rx", "/net/msgs_tx", "/net/msgs_rx", "/trace/events",
-      "/trace/drops", "/parcels/hist_dispatch_ns", "/sched/hist_run_ns",
-      "/sched/hist_wait_ns", "/sched/hist_ready_depth", "/stats/ticks",
-      "/stats/dropped_points"};
+// locality 0, which hosts the global services).  Each table below is the
+// whole schema of its kind; docs/counters.md documents every row.
 
+namespace {
+
+// One counter: a path suffix and a sampler reading it from `Ctx`.  A
+// histogram row (latency/depth distribution) sets `hist` instead of
+// `scalar`; the registry reads it as its population count, and quantiles
+// go through read_quantile / px.query_hist.
+template <typename Ctx>
+struct counter_row {
+  const char* path;
+  std::uint64_t (*scalar)(Ctx);
+  util::log_histogram (*hist)(Ctx) = nullptr;
+};
+
+// What a per-locality sampler reads: the objects this process holds for
+// the slot.
+struct loc_view {
+  locality* loc;
+  parcel_port* port;
+  introspect::monitor* mon;
+  net::transport* net;
+  net::endpoint_id ep;
+  introspect::stats_collector* stats;
+};
+
+using u64 = std::uint64_t;
+
+// A process-wide relaxed atomic counter (lco, patterns).
+template <const std::atomic<u64>& counter>
+u64 read_relaxed(runtime*) {
+  return counter.load(std::memory_order_relaxed);
+}
+
+constexpr counter_row<loc_view> kLocalityCounters[] = {
+    {"/sched/ready_depth",
+     [](loc_view v) { return v.loc->sched().ready_estimate(); }},
+    {"/sched/live_threads",
+     [](loc_view v) { return v.loc->sched().live_threads(); }},
+    {"/sched/spawned",
+     [](loc_view v) { return v.loc->sched().spawn_count(); }},
+    {"/sched/steals",
+     [](loc_view v) -> u64 { return v.loc->sched().stats().steals; }},
+    {"/sched/suspends",
+     [](loc_view v) -> u64 { return v.loc->sched().stats().suspends; }},
+    {"/sched/sleeps",
+     [](loc_view v) -> u64 { return v.loc->sched().stats().sleeps; }},
+    {"/parcels/sent",
+     [](loc_view v) -> u64 { return v.loc->stats().parcels_sent; }},
+    {"/parcels/delivered",
+     [](loc_view v) -> u64 { return v.loc->stats().parcels_delivered; }},
+    {"/parcels/forwarded",
+     [](loc_view v) -> u64 { return v.loc->stats().parcels_forwarded; }},
+    {"/parcels/dropped",
+     [](loc_view v) -> u64 { return v.loc->stats().parcels_dropped; }},
+    {"/port/pending", [](loc_view v) { return v.port->pending(); }},
+    {"/port/enqueued",
+     [](loc_view v) { return v.port->enqueued_total(); }},
+    {"/port/frames_sent",
+     [](loc_view v) -> u64 { return v.port->stats().frames_sent; }},
+    {"/port/eager_flushes",
+     [](loc_view v) -> u64 { return v.port->stats().eager_flushes; }},
+    {"/fabric/frames_sent",
+     [](loc_view v) -> u64 { return v.net->stats(v.ep).messages_sent; }},
+    {"/fabric/parcels_sent",
+     [](loc_view v) -> u64 { return v.net->stats(v.ep).parcels_sent; }},
+    {"/fabric/bytes_sent",
+     [](loc_view v) -> u64 { return v.net->stats(v.ep).bytes_sent; }},
+    {"/monitor/ready_ewma_milli",
+     [](loc_view v) { return v.mon->ready_ewma_milli(); }},
+    {"/monitor/samples",
+     [](loc_view v) { return v.mon->samples_taken(); }},
+    // What this endpoint's transport put on and took off the wire: real
+    // network traffic, not just the modeled fabric's.
+    {"/net/bytes_tx",
+     [](loc_view v) -> u64 { return v.net->link(v.ep).bytes_tx; }},
+    {"/net/bytes_rx",
+     [](loc_view v) -> u64 { return v.net->link(v.ep).bytes_rx; }},
+    {"/net/msgs_tx",
+     [](loc_view v) -> u64 { return v.net->link(v.ep).msgs_tx; }},
+    {"/net/msgs_rx",
+     [](loc_view v) -> u64 { return v.net->link(v.ep).msgs_rx; }},
+    // The flight recorder and the stats sampler are process singletons: in
+    // the sim shape every locality row reads the same process-wide value;
+    // distributed (one locality per process) the row is genuinely per-rank.
+    {"/trace/events",
+     [](loc_view) { return trace::recorder::global().events_total(); }},
+    {"/trace/drops",
+     [](loc_view) { return trace::recorder::global().drops_total(); }},
+    // Distributions, populated only while PX_STATS is armed.
+    {"/parcels/hist_dispatch_ns", nullptr,
+     [](loc_view v) { return v.loc->dispatch_hist_snapshot(); }},
+    {"/sched/hist_run_ns", nullptr,
+     [](loc_view v) { return v.loc->sched().run_hist_snapshot(); }},
+    {"/sched/hist_wait_ns", nullptr,
+     [](loc_view v) { return v.loc->sched().wait_hist_snapshot(); }},
+    {"/sched/hist_ready_depth", nullptr,
+     [](loc_view v) { return v.mon->depth_hist_snapshot(); }},
+    {"/stats/ticks", [](loc_view v) { return v.stats->ticks(); }},
+    {"/stats/dropped_points",
+     [](loc_view v) { return v.stats->dropped_points(); }},
+};
+
+constexpr counter_row<runtime*> kGlobalCounters[] = {
+    {"/agas/binds", [](runtime* rt) -> u64 { return rt->gas().stats().binds; }},
+    {"/agas/cache_hits",
+     [](runtime* rt) -> u64 { return rt->gas().stats().cache_hits; }},
+    {"/agas/cache_misses",
+     [](runtime* rt) -> u64 { return rt->gas().stats().cache_misses; }},
+    {"/agas/migrations",
+     [](runtime* rt) -> u64 { return rt->gas().stats().migrations; }},
+    {"/agas/stale_refreshes",
+     [](runtime* rt) -> u64 { return rt->gas().stats().stale_refreshes; }},
+    {"/agas/hint_evictions",
+     [](runtime* rt) -> u64 { return rt->gas().stats().hint_evictions; }},
+    // Unique gids that died with a lost rank (docs/resilience.md).
+    {"/agas/gids_lost", [](runtime* rt) { return rt->gids_lost(); }},
+    {"/lco/depleted_threads",
+     read_relaxed<lco::lco_counters::depleted_threads_created>},
+    {"/lco/continuations",
+     read_relaxed<lco::lco_counters::continuations_attached>},
+    {"/lco/fires", read_relaxed<lco::lco_counters::fires>},
+    {"/fabric/in_flight",
+     [](runtime* rt) { return rt->transport().in_flight(); }},
+    {"/rebalance/rounds",
+     [](runtime* rt) -> u64 { return rt->balancer().stats().rounds; }},
+    {"/rebalance/triggers",
+     [](runtime* rt) -> u64 { return rt->balancer().stats().triggers; }},
+    {"/rebalance/migrations",
+     [](runtime* rt) -> u64 {
+       return rt->balancer().stats().objects_migrated;
+     }},
+    {"/rebalance/redirects",
+     [](runtime* rt) -> u64 {
+       return rt->balancer().stats().placement_redirects;
+     }},
+    {"/rebalance/imbalance_milli",
+     [](runtime* rt) {
+       return static_cast<u64>(rt->balancer().stats().last_imbalance * 1000.0);
+     }},
+    // Pattern-library counters (src/patterns): process-wide statics.
+    {"/patterns/pipelines",
+     read_relaxed<patterns::pattern_counters::pipelines_built>},
+    {"/patterns/pipeline_items",
+     read_relaxed<patterns::pattern_counters::pipeline_items>},
+    {"/patterns/map_reduce_jobs",
+     read_relaxed<patterns::pattern_counters::map_reduce_jobs>},
+    {"/patterns/map_tasks",
+     read_relaxed<patterns::pattern_counters::map_tasks>},
+    {"/patterns/pool_tasks",
+     read_relaxed<patterns::pattern_counters::pool_tasks>},
+    {"/patterns/nested",
+     read_relaxed<patterns::pattern_counters::nested_patterns>},
+};
+
+// Registers `rows` under `prefix`, sampled from `ctx` — or, when this
+// process does not sample them (nullopt), sampler-less through add_remote.
+// Either way the rows allocate gids in the same order, which is what keeps
+// counter gids identical machine-wide.
+template <typename Ctx, std::size_t N>
+void register_rows(introspect::registry& reg, gas::locality_id home,
+                   const std::string& prefix,
+                   const counter_row<Ctx> (&rows)[N], std::optional<Ctx> ctx) {
+  for (const auto& row : rows) {
+    std::string path = prefix + row.path;
+    if (!ctx.has_value()) {
+      reg.add_remote(home, std::move(path));
+    } else if (row.hist != nullptr) {
+      reg.add_hist(home, std::move(path),
+                   [fn = row.hist, c = *ctx] { return fn(c); });
+    } else {
+      reg.add(home, std::move(path), [fn = row.scalar, c = *ctx] {
+        return fn(c);
+      });
+    }
+  }
+}
+
+}  // namespace
+
+// Distributed mode registers the *identical* sequence in every process:
+// locality slots this process doesn't host, and the globals on non-zero
+// ranks, go through add_remote — so any rank can query any other's
+// counters by path or gid (introspect::query_counter pays a parcel round
+// trip to the home rank, whose registry holds the live callback).
+void runtime::register_counters() {
+  auto& reg = introspect_;
   for (std::size_t i = 0; i < localities_.size(); ++i) {
     const auto lid = static_cast<gas::locality_id>(i);
-    locality* loc = localities_[i].get();
-    parcel_port* port = ports_[i].get();
-    introspect::monitor* mon = monitors_[i].get();
-    const std::string p = "runtime/loc" + std::to_string(i);
-    auto& reg = introspect_;
-
-    if (loc == nullptr) {  // remote rank: schema without samplers
-      for (const char* path : kLocalitySchema) reg.add_remote(lid, p + path);
-      // Backend-specific rows replay by *name* (sampling a remote
-      // endpoint's books locally would assert); every rank runs the same
-      // backend, so the positional gid sequence still matches.
-      const auto own_ep = static_cast<net::endpoint_id>(rank_);
-      for (const auto& c : transport_->extra_link_counters(own_ep)) {
-        reg.add_remote(lid, p + "/net/" + c.name);
-      }
-      continue;
-    }
-
-    threads::scheduler& sched = loc->sched();
-    reg.add(lid, p + "/sched/ready_depth",
-            [&sched] { return sched.ready_estimate(); });
-    reg.add(lid, p + "/sched/live_threads",
-            [&sched] { return sched.live_threads(); });
-    reg.add(lid, p + "/sched/spawned",
-            [&sched] { return sched.spawn_count(); });
-    reg.add(lid, p + "/sched/steals",
-            [&sched] { return sched.stats().steals; });
-    reg.add(lid, p + "/sched/suspends",
-            [&sched] { return sched.stats().suspends; });
-    reg.add(lid, p + "/sched/sleeps",
-            [&sched] { return sched.stats().sleeps; });
-
-    reg.add(lid, p + "/parcels/sent",
-            [loc] { return loc->stats().parcels_sent; });
-    reg.add(lid, p + "/parcels/delivered",
-            [loc] { return loc->stats().parcels_delivered; });
-    reg.add(lid, p + "/parcels/forwarded",
-            [loc] { return loc->stats().parcels_forwarded; });
-    reg.add(lid, p + "/parcels/dropped",
-            [loc] { return loc->stats().parcels_dropped; });
-
-    reg.add(lid, p + "/port/pending", [port] { return port->pending(); });
-    reg.add(lid, p + "/port/enqueued",
-            [port] { return port->enqueued_total(); });
-    reg.add(lid, p + "/port/frames_sent",
-            [port] { return port->stats().frames_sent; });
-    reg.add(lid, p + "/port/eager_flushes",
-            [port] { return port->stats().eager_flushes; });
-
-    net::transport* t = transport_;
     const auto ep = static_cast<net::endpoint_id>(i);
-    reg.add(lid, p + "/fabric/frames_sent",
-            [t, ep] { return t->stats(ep).messages_sent; });
-    reg.add(lid, p + "/fabric/parcels_sent",
-            [t, ep] { return t->stats(ep).parcels_sent; });
-    reg.add(lid, p + "/fabric/bytes_sent",
-            [t, ep] { return t->stats(ep).bytes_sent; });
-
-    reg.add(lid, p + "/monitor/ready_ewma_milli",
-            [mon] { return mon->ready_ewma_milli(); });
-    reg.add(lid, p + "/monitor/samples",
-            [mon] { return mon->samples_taken(); });
-
-    // Per-locality wire totals (PR 4): what this endpoint's transport put
-    // on and took off the wire — the rebalancer's (and any dashboard's)
-    // view of real-network traffic, not just the modeled fabric's.
-    reg.add(lid, p + "/net/bytes_tx",
-            [t, ep] { return t->link(ep).bytes_tx; });
-    reg.add(lid, p + "/net/bytes_rx",
-            [t, ep] { return t->link(ep).bytes_rx; });
-    reg.add(lid, p + "/net/msgs_tx",
-            [t, ep] { return t->link(ep).msgs_tx; });
-    reg.add(lid, p + "/net/msgs_rx",
-            [t, ep] { return t->link(ep).msgs_rx; });
-    // Flight-recorder totals.  The recorder is a process singleton, so in
-    // the sim shape every locality row reads the same process-wide value;
-    // distributed (one locality per process) the row is genuinely
-    // per-rank.  Registered before the backend extras to keep positional
-    // gid order identical to the remote replay above.
-    reg.add(lid, p + "/trace/events",
-            [] { return trace::recorder::global().events_total(); });
-    reg.add(lid, p + "/trace/drops",
-            [] { return trace::recorder::global().drops_total(); });
-    // Telemetry distributions (populated only while PX_STATS is armed).
-    // The registry slot reads the population count; quantiles go through
-    // read_quantile / px.query_hist, and the stats sampler expands each
-    // into per-quantile series.  Histogram gids are positional like every
-    // other counter, so the remote arm replays them with plain add_remote.
-    reg.add_hist(lid, p + "/parcels/hist_dispatch_ns",
-                 [loc] { return loc->dispatch_hist_snapshot(); });
-    reg.add_hist(lid, p + "/sched/hist_run_ns",
-                 [&sched] { return sched.run_hist_snapshot(); });
-    reg.add_hist(lid, p + "/sched/hist_wait_ns",
-                 [&sched] { return sched.wait_hist_snapshot(); });
-    reg.add_hist(lid, p + "/sched/hist_ready_depth",
-                 [mon] { return mon->depth_hist_snapshot(); });
-    // Sampler self-observation (like /trace/*: a process singleton read
-    // through every locality row in the sim shape, genuinely per-rank
-    // distributed).
-    introspect::stats_collector* st = stats_.get();
-    reg.add(lid, p + "/stats/ticks", [st] { return st->ticks(); });
-    reg.add(lid, p + "/stats/dropped_points",
-            [st] { return st->dropped_points(); });
+    const std::string p = "runtime/loc" + std::to_string(i);
+    const bool here = localities_[i] != nullptr;
+    register_rows(reg, lid, p, kLocalityCounters,
+                  here ? std::optional(loc_view{localities_[i].get(),
+                                                ports_[i].get(),
+                                                monitors_[i].get(), transport_,
+                                                ep, stats_.get()})
+                       : std::nullopt);
     // Backend-specific rows (tcp: reconnects; shm: ring_full_waits,
-    // wakeups; sim: none) — registered only when the active backend
-    // actually maintains them, so the schema never carries an
-    // always-zero row for a counter the backend cannot produce.
-    const auto extras = t->extra_link_counters(ep);
+    // wakeups; sim: none), registered only under a backend that maintains
+    // them.  A remote slot takes the names from this process's own
+    // endpoint (sampling a remote endpoint's books here would assert);
+    // every rank runs the same backend, so the gid order still matches.
+    net::transport* t = transport_;
+    const auto extras = t->extra_link_counters(here ? ep : rank_);
     for (std::size_t k = 0; k < extras.size(); ++k) {
-      reg.add(lid, p + "/net/" + extras[k].name,
+      std::string path = p + "/net/" + extras[k].name;
+      if (!here) {
+        reg.add_remote(lid, std::move(path));
+        continue;
+      }
+      reg.add(lid, std::move(path),
               [t, ep, k] { return t->extra_link_counters(ep)[k].value; });
     }
   }
-
-  // Machine-global services, homed where they conceptually live (loc 0 ==
-  // rank 0; other ranks replay the schema sampler-less).
-  auto& reg = introspect_;
-  if (distributed_ && rank_ != 0) {
-    for (const char* path :
-         {"runtime/agas/binds", "runtime/agas/cache_hits",
-          "runtime/agas/cache_misses", "runtime/agas/migrations",
-          "runtime/agas/stale_refreshes", "runtime/agas/hint_evictions",
-          "runtime/agas/gids_lost",
-          "runtime/lco/depleted_threads",
-          "runtime/lco/continuations", "runtime/lco/fires",
-          "runtime/fabric/in_flight", "runtime/rebalance/rounds",
-          "runtime/rebalance/triggers", "runtime/rebalance/migrations",
-          "runtime/rebalance/redirects",
-          "runtime/rebalance/imbalance_milli",
-          "runtime/patterns/pipelines", "runtime/patterns/pipeline_items",
-          "runtime/patterns/map_reduce_jobs", "runtime/patterns/map_tasks",
-          "runtime/patterns/pool_tasks", "runtime/patterns/nested"}) {
-      reg.add_remote(0, path);
-    }
-    return;
-  }
-  reg.add(0, "runtime/agas/binds", [this] { return agas_.stats().binds; });
-  reg.add(0, "runtime/agas/cache_hits",
-          [this] { return agas_.stats().cache_hits; });
-  reg.add(0, "runtime/agas/cache_misses",
-          [this] { return agas_.stats().cache_misses; });
-  reg.add(0, "runtime/agas/migrations",
-          [this] { return agas_.stats().migrations; });
-  reg.add(0, "runtime/agas/stale_refreshes",
-          [this] { return agas_.stats().stale_refreshes; });
-  reg.add(0, "runtime/agas/hint_evictions",
-          [this] { return agas_.stats().hint_evictions; });
-  // Unique gids that can no longer resolve because they died with a lost
-  // rank (docs/resilience.md); 0 for the whole life of a healthy machine.
-  reg.add(0, "runtime/agas/gids_lost", [this] { return gids_lost(); });
-
-  reg.add_raw(0, "runtime/lco/depleted_threads",
-              lco::lco_counters::depleted_threads_created);
-  reg.add_raw(0, "runtime/lco/continuations",
-              lco::lco_counters::continuations_attached);
-  reg.add_raw(0, "runtime/lco/fires", lco::lco_counters::fires);
-
-  reg.add(0, "runtime/fabric/in_flight",
-          [this] { return transport_->in_flight(); });
-
-  rebalancer* bal = balancer_.get();
-  reg.add(0, "runtime/rebalance/rounds",
-          [bal] { return bal->stats().rounds; });
-  reg.add(0, "runtime/rebalance/triggers",
-          [bal] { return bal->stats().triggers; });
-  reg.add(0, "runtime/rebalance/migrations",
-          [bal] { return bal->stats().objects_migrated; });
-  reg.add(0, "runtime/rebalance/redirects",
-          [bal] { return bal->stats().placement_redirects; });
-  reg.add(0, "runtime/rebalance/imbalance_milli", [bal] {
-    return static_cast<std::uint64_t>(bal->stats().last_imbalance * 1000.0);
-  });
-
-  // Pattern-library counters (src/patterns): process-wide statics, homed at
-  // rank 0 like the other global services.
-  reg.add_raw(0, "runtime/patterns/pipelines",
-              patterns::pattern_counters::pipelines_built);
-  reg.add_raw(0, "runtime/patterns/pipeline_items",
-              patterns::pattern_counters::pipeline_items);
-  reg.add_raw(0, "runtime/patterns/map_reduce_jobs",
-              patterns::pattern_counters::map_reduce_jobs);
-  reg.add_raw(0, "runtime/patterns/map_tasks",
-              patterns::pattern_counters::map_tasks);
-  reg.add_raw(0, "runtime/patterns/pool_tasks",
-              patterns::pattern_counters::pool_tasks);
-  reg.add_raw(0, "runtime/patterns/nested",
-              patterns::pattern_counters::nested_patterns);
+  register_rows(reg, 0, "runtime", kGlobalCounters,
+                distributed_ && rank_ != 0 ? std::nullopt
+                                           : std::optional<runtime*>(this));
 }
 
 runtime::~runtime() {
@@ -634,7 +572,7 @@ void runtime::stop() {
   // Stats shard rides the same window: disarm first (joins the sampler
   // and takes the closing tick), then write — the shard always ends at
   // quiescence time.
-  if (params_.stats != 0) {
+  if (*params_.stats) {
     stats_->disarm();
     stats_->dump();
   }
@@ -658,7 +596,7 @@ void runtime::stop() {
 }
 
 void runtime::dump_trace() {
-  if (params_.trace == 0) return;
+  if (!*params_.trace) return;
   trace::recorder::global().dump(
       clock_offset_ns_,
       introspect::registry::delta(trace_boot_counters_,
@@ -666,13 +604,13 @@ void runtime::dump_trace() {
 }
 
 void runtime::dump_stats() {
-  if (params_.stats == 0) return;
+  if (!*params_.stats) return;
   stats_->tick_now();  // freshness: the shard ends at dump time
   stats_->dump();
 }
 
 std::string runtime::stats_serialize() {
-  if (params_.stats == 0) return {};
+  if (!*params_.stats) return {};
   stats_->tick_now();
   return stats_->serialize_jsonl();
 }
@@ -754,7 +692,7 @@ gas::locality_id runtime::owner_of(gas::locality_id from, gas::gid id) {
 }
 
 void runtime::route(gas::locality_id from, parcel::parcel p) {
-  if (p.forwards > params_.max_forwards) {
+  if (p.forwards > *params_.max_forwards) {
     // Stale-cache forwarding loop (or a migration storm outrunning the
     // directory): drop with a diagnostic rather than bouncing forever.
     at(from).note_dropped();
@@ -810,7 +748,7 @@ void runtime::route(gas::locality_id from, parcel::parcel p) {
   // parcel (a multi-destination storm keeps sibling frames open), and the
   // scheduler must have no ready backlog (queued threads mean more
   // parcels are coming).
-  if (res.quiet_first && !res.shipped && eager_flush_ &&
+  if (res.quiet_first && !res.shipped && *params_.parcel_eager_flush &&
       ports_[from]->pending() <= 1 &&
       at(from).sched().ready_estimate() == 0) {
     ports_[from]->flush_eager(dest_ep);
@@ -1347,70 +1285,6 @@ bool runtime::migrate_gid_async(gas::gid id, gas::locality_id to,
       here(), locality_gid(to),
       parcel::continuation{sink, sink_action_id()}, rec);
   return true;
-}
-
-namespace {
-
-// Action ids are positional (assigned in registration order), so every
-// process must hold the identical table before cross-process dispatch: a
-// parcel carries only the id, and rank A's id 7 must be rank B's id 7.
-// Static registrations (PX_REGISTER_ACTION) of one binary are
-// link-ordered and deterministic; this snapshot, traded at bootstrap,
-// catches mismatched binaries — or eager-vs-lazy registration drift —
-// before the first parcel instead of as a wrong-action dispatch.
-std::string action_table_snapshot() {
-  auto& reg = parcel::action_registry::global();
-  std::string out;
-  const auto n = static_cast<parcel::action_id>(reg.size());
-  for (parcel::action_id id = 1; id <= n; ++id) {
-    out += reg.name_of(id);
-    out += '\n';
-  }
-  return out;
-}
-
-using wire_tuple =
-    std::tuple<std::uint64_t, std::uint32_t, std::uint8_t, std::uint8_t,
-               std::uint8_t, std::uint8_t, std::uint8_t, std::uint8_t,
-               std::string>;
-
-}  // namespace
-
-// Wire-relevant knobs every rank must agree on: ranks coalescing with
-// different flush thresholds, dropping at different forward bounds, or
-// disagreeing on whether objects may leave their home rank would behave
-// "the same program, different machine".  Rank 0's resolved values (and
-// its action table, for verification) ride the bootstrap table reply.
-std::vector<std::byte> runtime::encode_wire_params() const {
-  return util::to_bytes(wire_tuple(
-      static_cast<std::uint64_t>(params_.parcel_flush_bytes),
-      params_.parcel_flush_count,
-      static_cast<std::uint8_t>(params_.max_forwards),
-      static_cast<std::uint8_t>(eager_flush_ ? 1 : 0),
-      static_cast<std::uint8_t>(params_.net.migration != 0 ? 1 : 0),
-      static_cast<std::uint8_t>(params_.rebalance != 0 ? 1 : 0),
-      static_cast<std::uint8_t>(params_.trace != 0 ? 1 : 0),
-      static_cast<std::uint8_t>(params_.stats != 0 ? 1 : 0),
-      action_table_snapshot()));
-}
-
-void runtime::apply_wire_params(std::span<const std::byte> blob) {
-  const auto t = util::from_bytes<wire_tuple>(blob);
-  params_.parcel_flush_bytes = static_cast<std::size_t>(std::get<0>(t));
-  params_.parcel_flush_count = std::get<1>(t);
-  params_.max_forwards = std::get<2>(t);
-  eager_flush_ = std::get<3>(t) != 0;
-  params_.net.migration = std::get<4>(t);
-  params_.rebalance = std::get<5>(t);
-  // Tracing and stats are machine-wide or not at all: the clock-sync
-  // collective and the per-parcel wire extensions all assume every rank
-  // agrees.
-  params_.trace = std::get<6>(t);
-  params_.stats = std::get<7>(t);
-  PX_ASSERT_MSG(std::get<8>(t) == action_table_snapshot(),
-                "ranks disagree on the registered action table — all ranks "
-                "must run the same binary, and actions used cross-process "
-                "must be registered eagerly (PX_REGISTER_ACTION)");
 }
 
 }  // namespace px::core

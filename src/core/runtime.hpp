@@ -44,7 +44,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -65,7 +64,6 @@
 #include "parcel/action_registry.hpp"
 #include "parcel/migration.hpp"
 #include "parcel/parcel.hpp"
-#include "util/config.hpp"
 
 namespace px::net {
 class bootstrap;
@@ -85,62 +83,33 @@ struct runtime_params {
   unsigned workers_per_locality = 1;
   std::size_t stack_bytes = 64 * 1024;
   unsigned staging_slots_per_locality = 16;  // percolation staging depth
-  // Transport backend + distributed identity (PX_NET_*); with the "tcp"
-  // backend `localities` is overwritten with the rank count and this
-  // process hosts exactly the locality numbered by its rank.
+  // Transport backend + distributed identity; with a distributed backend
+  // `localities` is overwritten with the rank count and this process hosts
+  // exactly the locality numbered by its rank.
   net::net_params net{};
   // Fabric physics (sim backend only); `endpoints` is overwritten with
   // `localities`.
   net::fabric_params fabric{};
   std::uint64_t seed = 7;
-  // Outbound parcel coalescing thresholds.  0 means "resolve from the
-  // PX_PARCEL_FLUSH_BYTES / PX_PARCEL_FLUSH_COUNT environment, falling
-  // back to the built-in defaults"; an explicit nonzero value wins over
-  // the environment (flush_count = 1 disables coalescing).
-  std::size_t parcel_flush_bytes = 0;
-  std::uint32_t parcel_flush_count = 0;
-  // Stale-cache forwarding hop bound: a parcel forwarded more than this
-  // many times is dropped with a diagnostic (locality_stats counts drops).
-  // Clamped to 254 — the u8 forwards counter must be able to exceed it.
-  std::uint8_t max_forwards = 16;
-  // First-parcel eager flush: when an isolated parcel opens a quiet port
-  // channel and the sending scheduler has no other ready work, ship the
-  // frame immediately instead of waiting for the flush-on-idle pass —
-  // single-request latency without giving up batched throughput (bursts
-  // are detected and left to coalesce).  -1 resolves from
-  // PX_PARCEL_EAGER_FLUSH, defaulting to on.
-  int parcel_eager_flush = -1;
-  // Introspection-driven adaptive rebalancing (core/rebalancer.hpp).
-  // `rebalance` is tri-state: -1 resolves from PX_REBALANCE (default
-  // off).  Zero-valued tuning fields resolve from PX_REBALANCE_THRESHOLD /
-  // PX_REBALANCE_MIN_DEPTH / PX_REBALANCE_MAX_MIGRATIONS /
-  // PX_REBALANCE_INTERVAL_US, falling back to the rebalancer_params
-  // built-ins.
-  int rebalance = -1;
-  double rebalance_threshold = 0.0;
-  std::uint32_t rebalance_min_depth = 0;
-  std::uint32_t rebalance_max_migrations = 0;
-  std::uint64_t rebalance_interval_us = 0;
-  // Flight recorder (src/trace/, docs/tracing.md).  `trace` is tri-state:
-  // -1 resolves from PX_TRACE (default off).  Ring bytes 0 resolves from
-  // PX_TRACE_RING_BYTES (default 1 MiB per thread); an empty dir resolves
-  // from PX_TRACE_DIR (default ".").  Distributed, rank 0's resolved
-  // toggle wins machine-wide (it rides the wire-params blob) so the
-  // clock-sync collective and the per-parcel wire extension stay
-  // symmetric across ranks.
-  int trace = -1;
-  std::size_t trace_ring_bytes = 0;
-  std::string trace_dir;
-  // Telemetry plane (src/introspect/stats.*, docs/metrics.md).  `stats` is
-  // tri-state: -1 resolves from PX_STATS (default off); interval 0
-  // resolves from PX_STATS_INTERVAL_US (default 10ms); an empty dir
-  // resolves from PX_STATS_DIR (default ".").  Distributed, rank 0's
-  // resolved toggle wins machine-wide (wire-params blob): the per-parcel
-  // send-timestamp wire extension and the clock-sync collective must stay
-  // symmetric across ranks, exactly like tracing.
-  int stats = -1;
-  std::uint64_t stats_interval_us = 0;
-  std::string stats_dir;
+  // Knobs.  Each optional field is a row of the knob table
+  // (core/knobs.cpp), which holds its environment variable, default, and
+  // scope; an unset field resolves from there, an explicit value wins.
+  std::optional<std::size_t> parcel_flush_bytes{};
+  std::optional<std::uint32_t> parcel_flush_count{};  // 1: no coalescing
+  // Stale-cache forwarding hop bound, clamped to 254 (the u8 forwards
+  // counter must be able to exceed it).
+  std::optional<std::uint8_t> max_forwards{};
+  std::optional<bool> parcel_eager_flush{};
+  std::optional<bool> rebalance{};  // core/rebalancer.hpp
+  std::optional<double> rebalance_threshold{};
+  std::optional<std::uint32_t> rebalance_min_depth{};
+  std::optional<std::uint32_t> rebalance_max_migrations{};
+  std::optional<std::uint64_t> rebalance_interval_us{};
+  std::optional<bool> trace{};  // flight recorder, docs/tracing.md
+  std::optional<std::string> trace_dir{};
+  std::optional<bool> stats{};  // telemetry plane, docs/metrics.md
+  std::optional<std::uint64_t> stats_interval_us{};
+  std::optional<std::string> stats_dir{};
 };
 
 class runtime {
@@ -397,10 +366,6 @@ class runtime {
   std::uint64_t activity_snapshot() const;
   // One pass of the local quiescence fixed point; true when stable.
   bool local_quiescent_pass();
-  // Wire-relevant runtime knobs as a blob rank 0 broadcasts at bootstrap
-  // so every process runs identical parcel-pipeline behavior.
-  std::vector<std::byte> encode_wire_params() const;
-  void apply_wire_params(std::span<const std::byte> blob);
   // Rank-loss repair steps (called once per casualty by note_peer_failure):
   // purge hints at the casualty, drop directory entries for objects that
   // died with it, re-register resident remotely-homed gids at the
@@ -478,7 +443,6 @@ class runtime {
   std::unordered_set<gas::gid> lost_gids_;
   std::atomic<std::uint64_t> gids_lost_{0};
 
-  bool eager_flush_ = true;  // resolved from params/env in the ctor
   bool migration_enabled_ = false;  // cross-process protocol (tcp only)
   bool distributed_ = false;
   gas::locality_id rank_ = 0;  // this process's locality (0 when sim)

@@ -22,7 +22,6 @@
 // from the execution sites it watches.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -79,11 +78,6 @@ class registry {
   // home locality stays the single authority for the counter) and binds
   // the path in the symbolic name space.  Asserts on duplicate paths.
   gas::gid add(gas::locality_id home, std::string path, sample_fn fn);
-
-  // Convenience for the common case: the counter is an existing relaxed
-  // atomic (locality stats, fabric stats, lco_counters, ...).
-  gas::gid add_raw(gas::locality_id home, std::string path,
-                   const std::atomic<std::uint64_t>& raw);
 
   // Registers a counter that is *sampled elsewhere*: allocates and names
   // the gid exactly like add(), but installs no sampler (read() here

@@ -42,28 +42,16 @@ namespace px::net {
 
 using endpoint_id = std::uint32_t;
 
-// Backend selection and distributed identity.  Every field left at its
-// default resolves from the PX_NET_* environment in the runtime ctor (the
-// launcher's channel to its ranks); explicit values win.
-//
-//   backend   ""  -> PX_NET_BACKEND -> "sim"      "sim" | "tcp" | "shm"
-//   rank      -1  -> PX_NET_RANK    -> 0          this process's locality id
-//   ranks     0   -> PX_NET_RANKS                 total processes (tcp/shm)
-//   listen    ""  -> PX_NET_LISTEN  -> "127.0.0.1:0"   data-plane bind (tcp)
-//   root      ""  -> PX_NET_ROOT    -> "127.0.0.1:7733" rank 0 control addr
-//   migration -1  -> PX_MIGRATION   -> 1 (on)     cross-process AGAS moves
+// Backend selection and distributed identity.  An unset field resolves
+// through the knob table (core/knobs.cpp: PX_NET_*, PX_MIGRATION), the
+// launcher's channel to its ranks; explicit values win.
 struct net_params {
-  std::string backend;
-  std::int64_t rank = -1;
-  std::int64_t ranks = 0;
-  std::string listen;
-  std::string root;
-  // Cross-process object migration (tcp/shm backends): tri-state so "unset"
-  // resolves from the environment.  Rank 0's resolved value rides the
-  // bootstrap wire-params blob — migration changes how *every* rank routes
-  // and forwards, so the machine must agree.  0 restores PR 4's static
-  // home-owned PGAS behavior.
-  std::int64_t migration = -1;
+  std::optional<std::string> backend;     // "sim" | "tcp" | "shm"
+  std::optional<std::int64_t> rank;       // this process's locality id
+  std::optional<std::int64_t> ranks;      // total processes (tcp/shm)
+  std::optional<std::string> listen;      // data-plane bind (tcp)
+  std::optional<std::string> root;        // rank 0's control address
+  std::optional<bool> migration;          // cross-process AGAS moves
 };
 
 struct message {

@@ -16,6 +16,7 @@
 // type with an ADL-visible `serialize(ar, value)`.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -127,8 +128,8 @@ class input_archive {
       : data_(data) {}
 
   void read_bytes(void* out, std::size_t size) {
-    PX_ASSERT_MSG(offset_ + size <= data_.size(),
-                  "input_archive: truncated payload");
+    require(size <= remaining());
+    if (size == 0) return;  // `out` may be null (an empty vector's data())
     std::memcpy(out, data_.data() + offset_, size);
     offset_ += size;
   }
@@ -140,9 +141,12 @@ class input_archive {
     return *this;
   }
 
+  // Length prefixes come off the wire: each is checked against the bytes
+  // actually left before anything is allocated for it.
   input_archive& operator&(std::string& s) {
     std::uint64_t n = 0;
     *this & n;
+    require(n <= remaining());
     s.resize(n);
     read_bytes(s.data(), n);
     return *this;
@@ -152,11 +156,17 @@ class input_archive {
   input_archive& operator&(std::vector<T>& v) {
     std::uint64_t n = 0;
     *this & n;
-    v.resize(n);
     if constexpr (detail::is_bitwise_v<T>) {
+      require(n <= remaining() / sizeof(T));
+      v.resize(n);
       read_bytes(v.data(), v.size() * sizeof(T));
     } else {
-      for (auto& elem : v) *this & elem;
+      // An element's encoded size is not sizeof(T): grow as elements
+      // decode (reserving no more memory than the bytes left), so a lying
+      // prefix runs out of bytes instead of memory.
+      v.clear();
+      v.reserve(std::min<std::uint64_t>(n, remaining() / sizeof(T)));
+      for (std::uint64_t i = 0; i < n; ++i) *this & v.emplace_back();
     }
     return *this;
   }
@@ -203,6 +213,10 @@ class input_archive {
   bool exhausted() const noexcept { return remaining() == 0; }
 
  private:
+  static void require(bool fits) {
+    PX_ASSERT_MSG(fits, "input_archive: truncated payload");
+  }
+
   std::span<const std::byte> data_;
   std::size_t offset_ = 0;
 };

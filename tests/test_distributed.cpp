@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "core/action.hpp"
@@ -108,6 +109,55 @@ TEST(Distributed, PingpongShm2) {
     return;
   }
   px::test::run_ranks(2, "Distributed.PingpongShm2", "shm");
+}
+
+// Rank 0's machine-scope knobs win on every rank; rank-scope knobs stay
+// with each rank.  The two ranks' environments disagree on both kinds.
+void knob_scope_rank_body() {
+  runtime rt;
+  ASSERT_TRUE(rt.distributed());
+  const runtime_params& p = rt.params();
+  EXPECT_EQ(p.parcel_flush_count, 7u);
+  EXPECT_EQ(rt.port(rt.rank()).params().flush_count, 7u);
+  EXPECT_EQ(p.parcel_eager_flush, false);
+  EXPECT_EQ(p.rebalance, false);
+  EXPECT_FALSE(rt.balancer().params().enabled);
+  const std::uint32_t own_depth = rt.rank() == 0 ? 5 : 11;
+  EXPECT_EQ(p.rebalance_min_depth, own_depth);
+  EXPECT_EQ(rt.balancer().params().min_depth, own_depth);
+  const std::uint32_t next = (rt.rank() + 1) % 2;
+  rt.run([&] {
+    EXPECT_EQ(core::async<&ping>(rt.locality_gid(next), 41).get(), 42u);
+  });
+  rt.stop();
+}
+
+void run_knob_scope(const std::string& test_name, const std::string& backend) {
+  px::test::run_ranks_with_env(2, test_name, backend, {}, {0, 0},
+                               {{{"PX_PARCEL_FLUSH_COUNT", "7"},
+                                 {"PX_PARCEL_EAGER_FLUSH", "0"},
+                                 {"PX_REBALANCE", "0"},
+                                 {"PX_REBALANCE_MIN_DEPTH", "5"}},
+                                {{"PX_PARCEL_FLUSH_COUNT", "3"},
+                                 {"PX_PARCEL_EAGER_FLUSH", "1"},
+                                 {"PX_REBALANCE", "1"},
+                                 {"PX_REBALANCE_MIN_DEPTH", "11"}}});
+}
+
+TEST(Distributed, MachineScopeKnobsFollowRankZero) {
+  if (px::test::is_rank_child()) {
+    knob_scope_rank_body();
+    return;
+  }
+  run_knob_scope("Distributed.MachineScopeKnobsFollowRankZero", "tcp");
+}
+
+TEST(Distributed, MachineScopeKnobsFollowRankZeroShm) {
+  if (px::test::is_rank_child()) {
+    knob_scope_rank_body();
+    return;
+  }
+  run_knob_scope("Distributed.MachineScopeKnobsFollowRankZeroShm", "shm");
 }
 
 // Rank body shared by the fan-out storm tests (tcp and shm).

@@ -231,31 +231,7 @@ TEST(Resilience, ChildDiesWhenParentIsKilled) {
 
 // -------------------------------------------- multi-rank launch plumbing
 
-// Like px::test::run_ranks, but with extra environment shared by every
-// rank and a per-rank expected exit: 0 for a clean survivor, -1 for the
-// rank the fault plan SIGKILLs (wait_exit reports signal death as -1).
-void run_ranks_with_env(
-    int nranks, const std::string& test_name, const std::string& backend,
-    const std::vector<std::pair<std::string, std::string>>& extra,
-    const std::vector<int>& expected_exit) {
-  ASSERT_EQ(static_cast<int>(expected_exit.size()), nranks);
-  const int root_port = util::pick_free_tcp_port();
-  const std::vector<std::string> argv = {
-      util::self_exe_path(),
-      "--gtest_filter=" + test_name,
-      "--gtest_also_run_disabled_tests",
-  };
-  std::vector<pid_t> pids;
-  for (int r = 0; r < nranks; ++r) {
-    auto env = util::net_rank_env(r, nranks, root_port, backend);
-    env.insert(env.end(), extra.begin(), extra.end());
-    pids.push_back(util::spawn_process(argv, env));
-  }
-  for (int r = 0; r < nranks; ++r) {
-    EXPECT_EQ(util::wait_exit(pids[r], 100'000), expected_exit[r])
-        << test_name << ": rank " << r << " of " << nranks;
-  }
-}
+using px::test::run_ranks_with_env;
 
 // The per-survivor ledger a kill-storm rank publishes for the parent's
 // machine-wide conservation check.  One whitespace-separated line, written

@@ -1,14 +1,17 @@
-// Unit tests: util — serialization, histograms, RNG, config, queues, table.
+// Unit tests: util — serialization, histograms, RNG, the knob table,
+// queues, table.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "util/config.hpp"
+#include "core/knobs.hpp"
+#include "core/runtime.hpp"
 #include "util/histogram.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
@@ -79,6 +82,22 @@ TEST(Serialize, EmptyVector) {
   std::vector<int> empty;
   auto bytes = to_bytes(empty);
   EXPECT_EQ(from_bytes<std::vector<int>>(bytes), empty);
+}
+
+// A length prefix read off the wire is bounded by the bytes actually left
+// before anything is allocated for it: a blob claiming 2^40 bytes dies on
+// the truncation check instead of trying to zero-fill a terabyte.
+TEST(Serialize, OversizedLengthPrefixDiesBeforeAllocating) {
+  const auto huge = to_bytes(std::uint64_t{1} << 40, std::uint32_t{7});
+  EXPECT_DEATH(from_bytes<std::string>(huge), "truncated payload");
+  EXPECT_DEATH(from_bytes<std::vector<std::uint8_t>>(huge),
+               "truncated payload");
+  // n * sizeof(T) would wrap to 0 in 64 bits; the bound must not.
+  const auto wrap = to_bytes(std::uint64_t{1} << 61);
+  EXPECT_DEATH(from_bytes<std::vector<std::uint64_t>>(wrap),
+               "truncated payload");
+  EXPECT_DEATH(from_bytes<std::vector<std::string>>(huge),
+               "truncated payload");
 }
 
 // Property: encode/decode is identity over random payload shapes.
@@ -226,56 +245,93 @@ TEST(Rng, ExponentialHasRequestedMean) {
   EXPECT_NEAR(sum / kN, 10.0, 0.5);
 }
 
-// ---------------------------------------------------------------- config
+// -------------------------------------------------------------- knob table
 
-TEST(Config, TypedAccessorsAndFallbacks) {
-  config c;
-  c.set("a.int", std::int64_t{42});
-  c.set("a.str", "hello");
-  c.set("a.bool", true);
-  c.set("a.dbl", 2.5);
-  EXPECT_EQ(c.get_int("a.int", 0), 42);
-  EXPECT_EQ(c.get_string("a.str", ""), "hello");
-  EXPECT_TRUE(c.get_bool("a.bool", false));
-  EXPECT_DOUBLE_EQ(c.get_double("a.dbl", 0), 2.5);
-  EXPECT_EQ(c.get_int("missing", -1), -1);
-  EXPECT_FALSE(c.contains("missing"));
+// Sets an environment variable for one scope, restoring the old value.
+class scoped_env {
+ public:
+  scoped_env(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~scoped_env() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  scoped_env(const scoped_env&) = delete;
+  scoped_env& operator=(const scoped_env&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(Knobs, ExplicitBeatsEnvironmentBeatsDefault) {
+  scoped_env count("PX_PARCEL_FLUSH_COUNT", "7");
+  scoped_env depth("PX_REBALANCE_MIN_DEPTH", "5");
+  scoped_env lease("PX_LEASE_MS", "250");
+  px::core::runtime_params p;
+  p.parcel_flush_count = 3;
+  px::core::knobs::resolve(p);
+  EXPECT_EQ(p.parcel_flush_count, 3u);  // explicit
+  EXPECT_EQ(p.rebalance_min_depth, 5u);  // environment
+  EXPECT_EQ(p.rebalance_threshold, 2.0);  // default
+  EXPECT_EQ(p.max_forwards, 16);  // default of a row with no variable
+  EXPECT_EQ(px::core::knobs::lease_ms(), 250u);
 }
 
-TEST(Config, EnvNameMapping) {
-  EXPECT_EQ(config::env_name_for("scheduler.workers"), "PX_SCHEDULER_WORKERS");
+// Every row type rejects a value that does not parse whole, naming the
+// variable, instead of booting on a prefix or a wrapped negative (a
+// PX_NET_RANK=one that silently became rank 0 gave the machine two).
+TEST(Knobs, MalformedValuesAbortNamingTheVariable) {
+  const auto resolve_with = [](const char* name, const char* value) {
+    ::setenv(name, value, 1);
+    px::core::runtime_params p;
+    px::core::knobs::resolve(p);
+  };
+  EXPECT_DEATH(resolve_with("PX_PARCEL_EAGER_FLUSH", "maybe"),
+               "PX_PARCEL_EAGER_FLUSH=\"maybe\" is not a valid flag");
+  EXPECT_DEATH(resolve_with("PX_PARCEL_FLUSH_COUNT", "-1"),
+               "PX_PARCEL_FLUSH_COUNT=\"-1\" is not a valid non-negative");
+  EXPECT_DEATH(resolve_with("PX_PARCEL_FLUSH_BYTES", "12abc"),
+               "PX_PARCEL_FLUSH_BYTES=\"12abc\"");
+  EXPECT_DEATH(resolve_with("PX_NET_RANK", "one"),
+               "PX_NET_RANK=\"one\" is not a valid integer");
+  EXPECT_DEATH(resolve_with("PX_REBALANCE_THRESHOLD", "2.0x"),
+               "PX_REBALANCE_THRESHOLD=\"2.0x\" is not a valid number");
 }
 
-// Regression: the environment loader flattens every '_' to '.', so a key
-// whose last segment contains an underscore ("rebalance.min_depth", from
-// PX_REBALANCE_MIN_DEPTH) must still find the normalized entry — these
-// tuning knobs were silently dead otherwise.
-TEST(Config, UnderscoreKeysFindEnvDerivedEntries) {
-  config c;
-  c.set("rebalance.min.depth", std::int64_t{7});  // as load_environment stores
-  c.set("parcel.eager.flush", false);
-  EXPECT_EQ(c.get_int("rebalance.min_depth", 0), 7);
-  EXPECT_FALSE(c.get_bool("parcel.eager_flush", true));
-  // An exact-key set() still wins over the normalized spelling.
-  c.set("rebalance.min_depth", std::int64_t{9});
-  EXPECT_EQ(c.get_int("rebalance.min_depth", 0), 9);
-}
+// The machine-scope rows encode to the wire-params layout every rank
+// decodes: flush bytes (u64), flush count (u32), then max_forwards, eager
+// flush, migration, rebalance, trace and stats as one byte each, then the
+// tail string.
+TEST(Knobs, MachineRowsEncodeToTheWireLayout) {
+  px::core::runtime_params p;
+  p.parcel_flush_bytes = 8192;
+  p.parcel_eager_flush = false;
+  p.trace = true;
+  px::core::knobs::resolve(p);
+  const auto blob = px::core::knobs::encode_machine(p, "tail");
+  EXPECT_EQ(blob, to_bytes(std::uint64_t{8192}, std::uint32_t{64},
+                           std::uint8_t{16}, std::uint8_t{0}, std::uint8_t{1},
+                           std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{0},
+                           std::string("tail")));
 
-TEST(Config, LoadEnvironmentPicksUpPxVariables) {
-  ::setenv("PX_TEST_UNDERSCORE_KNOB", "123", 1);
-  config c;
-  c.load_environment();
-  EXPECT_EQ(c.get_int("test.underscore.knob", 0), 123);
-  // The spelling a caller would naturally use for a two-word field.
-  EXPECT_EQ(c.get_int("test.underscore_knob", 0), 123);
-  ::unsetenv("PX_TEST_UNDERSCORE_KNOB");
-}
+  px::core::runtime_params q;
+  q.parcel_flush_bytes = 1;
+  q.rebalance_min_depth = 99;  // rank scope: not on the wire
+  EXPECT_EQ(px::core::knobs::apply_machine(q, blob), "tail");
+  EXPECT_EQ(q.parcel_flush_bytes, 8192u);
+  EXPECT_EQ(q.parcel_eager_flush, false);
+  EXPECT_EQ(q.trace, true);
+  EXPECT_EQ(q.rebalance_min_depth, 99u);
 
-TEST(Config, MalformedNumbersFallBack) {
-  config c;
-  c.set("k", "not-a-number");
-  EXPECT_EQ(c.get_int("k", 5), 5);
-  EXPECT_EQ(c.get_double("k", 1.5), 1.5);
+  auto padded = blob;
+  padded.push_back(std::byte{0});
+  EXPECT_DEATH(px::core::knobs::apply_machine(q, padded), "trailing bytes");
 }
 
 // ------------------------------------------------------------- ws_deque
