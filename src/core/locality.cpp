@@ -129,11 +129,12 @@ void locality::send(parcel::parcel p) {
 }
 
 bool locality::arriving_needs_forward(gas::gid dest) {
-  // Establish locality context for the delivery path: on the fabric
-  // progress thread this makes sink-fired continuations (and anything they
-  // apply) run with the receiving locality as "here".  On a worker thread
-  // the destination equals the current locality, so the write is
-  // idempotent.
+  // Establish locality context for the delivery path: sink-fired
+  // continuations (and anything they apply) run with the receiving locality
+  // as "here".  The delivering thread may be a transport progress thread,
+  // one of this locality's workers (idempotent write), or — on the
+  // zero-latency sim fabric — a sender of another locality, whose own
+  // context runtime::deliver_from_fabric restores once the frame is done.
   detail::set_this_locality(this);
 
   // Ownership check for migratable kinds: if the object moved away and we

@@ -23,8 +23,10 @@
 namespace px::core {
 
 // Built-in continuation target: fire a single-shot LCO sink.  Runs on the
-// fabric progress thread by design — firing a future is enqueue-only work
-// and skipping the thread spawn keeps continuation latency minimal.
+// delivering thread by design (the transport's progress thread, or the
+// sender's own thread on the zero-latency sim fabric) — firing a future is
+// enqueue-only work and skipping the thread spawn keeps continuation
+// latency minimal.
 // Registered as a raw function pointer (non-allocating dispatch); the sink
 // closure may outlive the wire frame, so the parcel is materialized here.
 parcel::action_id sink_action_id() {
@@ -283,6 +285,16 @@ runtime::runtime(runtime_params params)
   percolation_ = std::make_unique<percolation_manager>(
       *this, params_.staging_slots_per_locality);
 
+  // Arm the flight recorder once every consumer above is wired and before
+  // any parcel can flow, so the rings start at a clean epoch.  It needs no
+  // clock offset (the shard records it at dump time).  Arming it before the
+  // collective barrier and clock_sync below means every rank is recording
+  // before any rank leaves its constructor and sends its first parcel.
+  trace::recorder::global().configure(*params_.trace, knobs::trace_ring_bytes(),
+                                     *params_.trace_dir,
+                                     static_cast<std::uint32_t>(rank_));
+  if (*params_.trace) trace_boot_counters_ = introspect_.snapshot_all();
+
   if (distributed_) {
     dist_->connect_peers(peer_table);
     // Barrier before traffic: no rank leaves its ctor (and starts sending
@@ -305,15 +317,8 @@ runtime::runtime(runtime_params params)
       clock_offset_ns_ = bootstrap_->clock_sync();
     }
   }
-  // Arm the flight recorder last: every consumer above is wired and no
-  // parcel can have flowed yet, so the rings start at a clean epoch.
-  trace::recorder::global().configure(*params_.trace, knobs::trace_ring_bytes(),
-                                     *params_.trace_dir,
-                                     static_cast<std::uint32_t>(rank_));
-  if (*params_.trace) trace_boot_counters_ = introspect_.snapshot_all();
-  // Same epoch discipline for the stats sampler: armed only now, so its
-  // t=0 tick (and every parcel send-timestamp stamp) happens after the
-  // offset is known.
+  // The stats sampler arms last: its t=0 tick (and every parcel
+  // send-timestamp stamp) must happen after the clock offset is known.
   if (*params_.stats) {
     stats_->set_clock_offset(clock_offset_ns_);
     stats_->arm();
@@ -765,10 +770,16 @@ void runtime::deliver_from_fabric(net::message& m) {
     trace::emit_here(trace::event_kind::wire_rx, m.payload.size(),
                      static_cast<std::uint32_t>(m.source));
   }
+  // Delivery may run on the sending thread (the sim fabric at zero modeled
+  // latency), often a worker of another locality.  Dispatch makes the
+  // receiving locality "here" for the actions it runs inline; the caller
+  // gets its own back afterwards.
+  locality* const caller = this_locality();
   locality& dst = at(m.dest);
   for (auto it = frame->begin(); it != frame->end(); ++it) {
     dst.deliver(*it);
   }
+  detail::set_this_locality(caller);
 }
 
 std::uint64_t runtime::activity_snapshot() const {

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/fence.hpp"
@@ -15,6 +16,17 @@ namespace {
 // callback (coalescing-buffer flush backstop) can get, and self-heals any
 // theoretically-missed notification.
 constexpr auto kIdleTick = std::chrono::microseconds(200);
+
+// Zero-latency shards this thread still owes a delivery pass, recorded by
+// sends made from inside a handler it is running; null when the thread is
+// not delivering.  Lets the outermost pass deliver them instead of the
+// handler's send recursing into another endpoint's handler.
+thread_local std::vector<std::pair<fabric*, endpoint_id>>* tl_owed = nullptr;
+
+bool charges_nothing(const fabric_params& p) {
+  return p.base_latency_ns == 0 && p.per_hop_ns == 0 &&
+         p.bytes_per_ns == 0.0 && p.jitter_ns == 0;
+}
 }  // namespace
 
 const char* to_string(topology_kind k) noexcept {
@@ -57,7 +69,9 @@ std::uint32_t topology_hops(topology_kind k, std::size_t endpoints,
 }
 
 fabric::fabric(fabric_params params)
-    : params_(params), handlers_(params.endpoints) {
+    : params_(params),
+      inline_(charges_nothing(params)),
+      handlers_(params.endpoints) {
   PX_ASSERT(params_.endpoints > 0);
   util::xoshiro256 seeder(params_.seed);
   for (std::size_t i = 0; i < params_.endpoints; ++i) {
@@ -115,6 +129,7 @@ void fabric::send(message m) {
   PX_ASSERT(m.units >= 1);
   traffic_started_.store(true, std::memory_order_release);
   const std::uint32_t units = m.units;
+  const endpoint_id dest = m.dest;
   sent_total_.fetch_add(units, std::memory_order_acq_rel);
   in_flight_.fetch_add(units, std::memory_order_acq_rel);
 
@@ -127,7 +142,7 @@ void fabric::send(message m) {
   std::uint64_t delay_ns =
       model_latency_ns(m.source, m.dest, m.payload.size());
   {
-    send_shard& shard = *shards_[m.dest];
+    send_shard& shard = *shards_[dest];
     std::lock_guard lock(shard.m);
     if (params_.jitter_ns > 0) delay_ns += shard.rng.below(params_.jitter_ns);
     shard.q.push(
@@ -140,11 +155,70 @@ void fabric::send(message m) {
   // latency — its own bytes plus the shared frame are what the bandwidth
   // term charged.
   latency_hist_.add(static_cast<double>(delay_ns), units);
-  wake_progress();
+  if (!inline_) {
+    wake_progress();
+    return;
+  }
+  if (tl_owed != nullptr) {
+    // Sent from inside a handler: the pass already running on this thread
+    // delivers it once that handler returns.
+    tl_owed->emplace_back(this, dest);
+    return;
+  }
+  deliver_inline(dest);
 }
 
-// Producer half of the sleep/wake handshake (see header): the shard push
-// above must be visible to a progress thread that is about to sleep, or we
+void fabric::deliver_inline(endpoint_id ep) {
+  std::vector<std::pair<fabric*, endpoint_id>> owed;
+  tl_owed = &owed;
+  drain_shard(ep);
+  // Index loop: handlers run by drain_shard may append to owed.
+  for (std::size_t i = 0; i < owed.size(); ++i) {
+    const auto [f, owed_ep] = owed[i];
+    f->drain_shard(owed_ep);
+  }
+  tl_owed = nullptr;
+}
+
+// Consumer half of the delivery-token protocol (see send_shard).
+void fabric::drain_shard(endpoint_id ep) {
+  send_shard& shard = *shards_[ep];
+  if (shard.draining.exchange(true)) return;
+  for (;;) {
+    timed_message tm;
+    {
+      std::lock_guard lock(shard.m);
+      if (shard.q.empty()) {
+        shard.draining.store(false);
+        return;
+      }
+      // priority_queue::top is const; safe to move because pop follows.
+      tm = std::move(const_cast<timed_message&>(shard.q.top()));
+      shard.q.pop();
+    }
+    deliver(tm.msg);
+  }
+}
+
+void fabric::deliver(message& m) noexcept {
+  auto& st = *stats_[m.dest];
+  st.messages_received.fetch_add(1, std::memory_order_relaxed);
+  st.bytes_received.fetch_add(m.payload.size(), std::memory_order_relaxed);
+  handler& h = handlers_[m.dest];
+  PX_ASSERT_MSG(h != nullptr, "message to endpoint without handler");
+  const std::uint32_t units = m.units;
+  h(m);
+  // Recycle the payload's capacity unless the handler stole it.
+  if (m.payload.capacity() > 0) pool_.release(std::move(m.payload));
+  const auto remaining = in_flight_.fetch_sub(units, std::memory_order_acq_rel);
+  if (remaining == units) {
+    std::lock_guard lock(progress_mutex_);
+    drained_cv_.notify_all();
+  }
+}
+
+// Producer half of the sleep/wake handshake (see header): send()'s shard
+// push must be visible to a progress thread that is about to sleep, or we
 // must see sleeping_ set and notify.  Timed waits backstop the protocol.
 void fabric::wake_progress() {
   dirty_.store(true, std::memory_order_seq_cst);
@@ -156,6 +230,18 @@ void fabric::wake_progress() {
 
 void fabric::progress_loop() {
   std::unique_lock lock(progress_mutex_);
+  if (inline_) {
+    // Senders deliver; only the idle backstop is left for this thread.
+    while (!stopping_) {
+      if (idle_cb_) {
+        lock.unlock();
+        idle_cb_();
+        lock.lock();
+      }
+      cv_.wait_for(lock, kIdleTick, [&] { return stopping_; });
+    }
+    return;
+  }
   for (;;) {
     if (stopping_) {
       // Drain whatever is still queued before exiting so drain() callers
@@ -227,23 +313,9 @@ void fabric::progress_loop() {
       tm = std::move(const_cast<timed_message&>(shard.q.top()));
       shard.q.pop();
     }
-    stats_[tm.msg.dest]->messages_received.fetch_add(
-        1, std::memory_order_relaxed);
-    stats_[tm.msg.dest]->bytes_received.fetch_add(tm.msg.payload.size(),
-                                                  std::memory_order_relaxed);
-    handler& h = handlers_[tm.msg.dest];
-    PX_ASSERT_MSG(h != nullptr, "message to endpoint without handler");
-    const std::uint32_t units = tm.msg.units;
     lock.unlock();
-    h(tm.msg);
-    // Recycle the payload's capacity unless the handler stole it.
-    if (tm.msg.payload.capacity() > 0) {
-      pool_.release(std::move(tm.msg.payload));
-    }
-    const auto remaining =
-        in_flight_.fetch_sub(units, std::memory_order_acq_rel);
+    deliver(tm.msg);
     lock.lock();
-    if (remaining == units) drained_cv_.notify_all();
   }
 }
 

@@ -6,10 +6,18 @@
 // model, finite bandwidth, and optional jitter (which also yields reordering,
 // a useful failure-injection mode for tests).
 //
-// Delivery runs on a dedicated progress thread so a blocked receiver never
-// stalls the sender — matching the split-phase, asynchronous transport the
-// ParalleX model assumes.  Handlers must be registered before traffic flows
-// and must not block for long (they hand off to scheduler queues).
+// Two delivery modes, chosen by the latency model alone.  When the model
+// charges nothing (base, per-hop, bandwidth and jitter terms all zero — the
+// default), send() delivers on the calling thread: there is no delay to
+// impose, and a progress-thread hop would only add two thread handoffs to
+// every round trip.  Otherwise a dedicated progress thread holds each message
+// until its modeled due time, so a blocked receiver never stalls the sender —
+// the split-phase, asynchronous transport the ParalleX model assumes.  Either
+// way one endpoint's handler never runs concurrently with itself and sees its
+// queue in order.  Handlers must be registered before traffic flows and must
+// not block (they hand off to scheduler queues); a send made from inside a
+// handler is queued and delivered after that handler returns, never
+// recursively.
 //
 // Hot-path design: the send queue is sharded per destination endpoint, so
 // concurrent senders to different endpoints never contend on one global
@@ -76,14 +84,17 @@ class fabric final : public transport {
   // send(); both are asserted.
   void set_handler(endpoint_id ep, handler h) override;
 
-  // Optional backstop invoked by the progress thread whenever its queues
-  // run dry (at most every ~200us): the runtime uses it to flush outbound
-  // coalescing buffers even if every scheduler worker is pinned busy.
-  // Must be set before traffic starts; runs on the progress thread.
+  // Optional backstop invoked by the progress thread every ~200us while it
+  // idles, and also whenever its queues run dry under a latency model: the
+  // runtime uses it to flush outbound coalescing buffers even if every
+  // scheduler worker is pinned busy.  Must be set before traffic starts;
+  // runs on the progress thread.
   void set_idle_callback(std::function<void()> cb) override;
 
-  // Computes the delivery deadline from the latency model and enqueues.
-  // Thread-safe; never blocks on the receiver.  Asserts source/dest range.
+  // Computes the delivery deadline from the latency model and enqueues; at
+  // zero modeled latency it then delivers the destination's queue on this
+  // thread, unless another thread already is (that one delivers m too).
+  // Thread-safe; never waits for the receiver.  Asserts source/dest range.
   void send(message m) override;
 
   // Model-predicted one-way latency for a payload of `bytes` between a and
@@ -97,7 +108,7 @@ class fabric final : public transport {
   }
 
   // Monotonic count of parcels (message units) accepted by send(),
-  // incremented before the message is visible to the progress thread.
+  // incremented before the message is visible to any deliverer.
   // Paired with scheduler::spawn_count() in the runtime's quiescence
   // protocol to detect activity racing its counter reads.
   std::uint64_t messages_sent_total() const noexcept override {
@@ -113,6 +124,9 @@ class fabric final : public transport {
   util::buffer_pool& pool() noexcept override { return pool_; }
 
   const fabric_params& params() const noexcept { return params_; }
+  // True when the latency model charges nothing, so send() delivers on the
+  // calling thread instead of through the progress thread.
+  bool delivers_inline() const noexcept { return inline_; }
   std::size_t endpoints() const noexcept override {
     return params_.endpoints;
   }
@@ -137,10 +151,18 @@ class fabric final : public transport {
   // touch disjoint locks.  Delivery order is preserved within a shard;
   // across shards only due-time order is honored (as jitter reorders
   // anyway, no cross-endpoint ordering is promised).
+  //
+  // At zero latency `draining` is the shard's delivery token: after its
+  // push a sender claims it with an exchange and delivers until the queue
+  // is empty, releasing it under `m` in the same critical section that saw
+  // the queue empty.  A racing push therefore either lands before that
+  // check (and is delivered) or its pusher's claim, made after the push,
+  // finds the token free — no message is left undelivered.
   struct send_shard {
     std::mutex m;
     std::priority_queue<timed_message, std::vector<timed_message>, later> q;
     util::xoshiro256 rng{0};
+    std::atomic<bool> draining{false};
   };
   struct atomic_endpoint_stats {
     std::atomic<std::uint64_t> messages_sent{0};
@@ -152,8 +174,16 @@ class fabric final : public transport {
 
   void progress_loop();
   void wake_progress();
+  // Zero-latency path: delivers shard `ep` on this thread, then every shard
+  // its handlers sent to, unless another thread holds the shard's token.
+  void deliver_inline(endpoint_id ep);
+  void drain_shard(endpoint_id ep);
+  // Hands m to its handler, recycles the payload, and retires its units.
+  // noexcept: a throwing handler terminates, as on the progress thread.
+  void deliver(message& m) noexcept;
 
   fabric_params params_;
+  const bool inline_;
   std::vector<handler> handlers_;
   std::function<void()> idle_cb_;
   std::vector<std::unique_ptr<send_shard>> shards_;
@@ -163,11 +193,12 @@ class fabric final : public transport {
 
   util::buffer_pool pool_;
 
-  // Progress-thread sleep/wake handshake: senders push to a shard, then
-  // seq_cst-store dirty_ and check sleeping_; the progress thread seq_cst-
-  // stores sleeping_ before re-evaluating dirty_ under progress_mutex_.
-  // One side always observes the other (Dekker), and every wait is timed
-  // as defence in depth.
+  // Progress-thread sleep/wake handshake (timed mode only: at zero latency
+  // the progress thread just runs the idle callback every tick).  Senders
+  // push to a shard, then seq_cst-store dirty_ and check sleeping_; the
+  // progress thread seq_cst-stores sleeping_ before re-evaluating dirty_
+  // under progress_mutex_.  One side always observes the other (Dekker),
+  // and every wait is timed as defence in depth.
   std::mutex progress_mutex_;
   std::condition_variable cv_;
   std::condition_variable drained_cv_;

@@ -20,8 +20,10 @@
 //     finished handling the frame — cross-process flight is additionally
 //     tracked by the distributed quiescence counters (runtime::wait_quiescent);
 //   * drain() blocks until in_flight() == 0;
-//   * handlers and the idle callback run on the backend's progress thread
-//     and must not block for long.
+//   * handlers run on the backend's delivering thread — its progress
+//     thread, or, on the zero-latency sim fabric, the sending thread
+//     itself — one at a time per endpoint, and must not block; the idle
+//     callback runs on the progress thread and must not block for long.
 #pragma once
 
 #include <atomic>

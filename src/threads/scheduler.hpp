@@ -1,9 +1,10 @@
 // Work-stealing M:N scheduler — one instance per ParalleX locality.
 //
 // Workers run ParalleX threads from a private Chase–Lev deque (LIFO for the
-// owner, FIFO for thieves); external producers (parcel handlers on the
-// network progress thread, LCO wakeups from other localities) push through a
-// wait-free MPSC inject queue.  Idle workers spin-steal briefly, then sleep
+// owner, FIFO for thieves); external producers (parcel handlers on a
+// transport progress thread or on another locality's sending worker, LCO
+// wakeups from other localities) push through a wait-free MPSC inject
+// queue.  Idle workers spin-steal briefly, then sleep
 // on a condition variable with a timeout backstop.
 //
 // This layer is the paper's "work queue model" by which message-driven

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 
 #include "baseline/csp.hpp"
@@ -115,19 +116,23 @@ TEST(Csp, LatencyIsImposedOnBlockingRecv) {
   csp_params p = quick(2);
   p.fabric.base_latency_ns = 2'000'000;  // 2ms
   csp_runtime rt(p);
-  std::atomic<std::int64_t> wait_us{0};
+  const auto now_ns = [] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
+  std::atomic<std::int64_t> flight_ns{0};
   rt.run([&](rank_context& ctx) {
     if (ctx.rank() == 0) {
-      ctx.send_value(1, 1, 0);
+      // The message carries its own send stamp, so the measured flight
+      // does not depend on when rank 1 happens to enter recv.
+      ctx.send_value<std::int64_t>(1, 1, now_ns());
     } else {
-      const auto start = std::chrono::steady_clock::now();
-      (void)ctx.recv_value<int>(0, 1);
-      wait_us.store(std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
+      const auto sent = ctx.recv_value<std::int64_t>(0, 1);
+      flight_ns.store(now_ns() - sent);
     }
   });
-  EXPECT_GE(wait_us.load(), 1000);
+  EXPECT_GE(flight_ns.load(), 2'000'000);
 }
 
 TEST(Csp, RingPassesTokenAround) {

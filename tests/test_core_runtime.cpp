@@ -95,6 +95,28 @@ TEST(Runtime, AsyncLandsOnTheNamedLocality) {
   EXPECT_EQ(where, (std::vector<int>{0, 1, 2, 3}));
 }
 
+TEST(Runtime, InlineDeliveryKeepsEachThreadsLocality) {
+  // At zero modeled latency the sim fabric delivers on the sending thread:
+  // locality 0's fiber runs locality 1's dispatch inside its own send, and
+  // locality 1's worker delivers the reply into locality 0.  Each must come
+  // back out still being its own locality.
+  runtime rt(quick_params(2, 1));
+  ASSERT_TRUE(rt.fabric().delivers_inline());
+  std::vector<int> here_after_send;
+  std::vector<int> remote_here;
+  rt.run([&] {
+    for (int i = 0; i < 8; ++i) {
+      auto f = core::async<&which_locality>(rt.locality_gid(1));
+      rt.port(0).flush(1);  // no-op when the eager flush already shipped it
+      here_after_send.push_back(
+          static_cast<int>(core::this_locality()->id()));
+      remote_here.push_back(f.get());
+    }
+  });
+  EXPECT_EQ(here_after_send, std::vector<int>(8, 0));
+  EXPECT_EQ(remote_here, std::vector<int>(8, 1));
+}
+
 TEST(Runtime, EagerFlushShipsIsolatedRequestImmediately) {
   // Isolated requests from an otherwise-idle locality: the first-parcel
   // eager flush must ship them from route() itself (the sender never has

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "core/echo.hpp"
 #include "core/percolation.hpp"
@@ -134,13 +135,32 @@ PX_REGISTER_ACTION(times_two)
 
 std::atomic<int> g_perc_running{0};
 std::atomic<int> g_perc_peak{0};
+// Until then a slow_task keeps its staging slot while the issuer has not
+// yet had to wait for one; 0 = hold for the 64 yields only.
+std::atomic<std::int64_t> g_perc_hold_until_ns{0};
+
+std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 void slow_task(int) {
   const int now = g_perc_running.fetch_add(1) + 1;
   int prev = g_perc_peak.load();
   while (prev < now && !g_perc_peak.compare_exchange_weak(prev, now)) {
   }
-  for (int i = 0; i < 64; ++i) px::threads::scheduler::yield();
+  // Holding the slot until the issuer blocks makes the full window an
+  // observed fact rather than a race between how fast this locality
+  // drains it and how fast the issuer (which may deliver its own parcels)
+  // refills it.  The deadline turns missing back-pressure into a failed
+  // expectation instead of a hang.
+  const auto& pm = core::this_locality()->rt().percolation_mgr();
+  for (int i = 0; i < 64 || (pm.stats().slot_waits == 0 &&
+                             steady_ns() < g_perc_hold_until_ns.load());
+       ++i) {
+    px::threads::scheduler::yield();
+  }
   g_perc_running.fetch_sub(1);
 }
 PX_REGISTER_ACTION(slow_task)
@@ -161,6 +181,7 @@ TEST(Percolation, StagingSlotsApplyBackpressure) {
   rt.start();
   g_perc_running.store(0);
   g_perc_peak.store(0);
+  g_perc_hold_until_ns.store(steady_ns() + 2'000'000'000);
   rt.run([&] {
     std::vector<lco::future<void>> futs;
     for (int i = 0; i < 64; ++i) {
@@ -168,6 +189,7 @@ TEST(Percolation, StagingSlotsApplyBackpressure) {
     }
     for (auto& f : futs) f.wait();
   });
+  g_perc_hold_until_ns.store(0);
   // Never more tasks resident at the target than staging slots.
   EXPECT_LE(g_perc_peak.load(), 4);
   EXPECT_GT(rt.percolation_mgr().stats().slot_waits, 0u);
