@@ -185,14 +185,14 @@ int net_rank_main() {
     rc = 1;
   }
   if (rt.rank() == 0) {
-    const auto link = rt.transport().link(0);
+    const auto books = rt.transport().stats(0);
     const double parcels_per_sec = storm_parcels / (storm_ms / 1000.0);
     std::printf("%s: %.1f us/round-trip, storm %d parcels in "
                 "%.1f ms (%.0f parcels/s, %llu frames, %llu bytes tx)\n",
                 backend.c_str(), rtt_us, storm_parcels, storm_ms,
                 parcels_per_sec,
-                static_cast<unsigned long long>(link.msgs_tx),
-                static_cast<unsigned long long>(link.bytes_tx));
+                static_cast<unsigned long long>(books.messages_sent),
+                static_cast<unsigned long long>(books.bytes_sent));
     bench::json_writer json;
     bench::add_metadata(json, backend);
     json.add("rtt_iters", static_cast<std::int64_t>(rtt_iters));
@@ -201,8 +201,8 @@ int net_rank_main() {
     json.add("storm_parcels", static_cast<std::int64_t>(storm_parcels));
     json.add("storm_ms", storm_ms);
     json.add("parcels_per_sec", parcels_per_sec);
-    json.add("frames_tx", static_cast<std::int64_t>(link.msgs_tx));
-    json.add("bytes_tx", static_cast<std::int64_t>(link.bytes_tx));
+    json.add("frames_tx", static_cast<std::int64_t>(books.messages_sent));
+    json.add("bytes_tx", static_cast<std::int64_t>(books.bytes_sent));
     // The launcher collates the per-backend sections; this rank only
     // drops its own where the launcher told it to.
     const char* out = std::getenv("PX_BENCH_NET_OUT");

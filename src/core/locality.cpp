@@ -287,10 +287,10 @@ void locality::deliver(parcel::parcel p) {
     // dispatches inline under this scope, and a typed action's fiber
     // inherits it through scheduler::spawn's context capture.
     trace::scope s(trace::context{p.trace_id, p.trace_span});
-    parcel::action_registry::global().dispatch(this, std::move(p));
+    parcel::action_registry::global().dispatch(this, p);
     return;
   }
-  parcel::action_registry::global().dispatch(this, std::move(p));
+  parcel::action_registry::global().dispatch(this, p);
 }
 
 void locality::deliver(const parcel::parcel_view& pv) {

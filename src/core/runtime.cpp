@@ -394,26 +394,22 @@ constexpr counter_row<loc_view> kLocalityCounters[] = {
      [](loc_view v) -> u64 { return v.port->stats().frames_sent; }},
     {"/port/eager_flushes",
      [](loc_view v) -> u64 { return v.port->stats().eager_flushes; }},
-    {"/fabric/frames_sent",
-     [](loc_view v) -> u64 { return v.net->stats(v.ep).messages_sent; }},
     {"/fabric/parcels_sent",
      [](loc_view v) -> u64 { return v.net->stats(v.ep).parcels_sent; }},
-    {"/fabric/bytes_sent",
-     [](loc_view v) -> u64 { return v.net->stats(v.ep).bytes_sent; }},
     {"/monitor/ready_ewma_milli",
      [](loc_view v) { return v.mon->ready_ewma_milli(); }},
     {"/monitor/samples",
      [](loc_view v) { return v.mon->samples_taken(); }},
-    // What this endpoint's transport put on and took off the wire: real
-    // network traffic, not just the modeled fabric's.
+    // What this endpoint's transport accepted for sending (tx) and handed
+    // to its handler (rx), in frames and bytes, on every backend.
     {"/net/bytes_tx",
-     [](loc_view v) -> u64 { return v.net->link(v.ep).bytes_tx; }},
+     [](loc_view v) -> u64 { return v.net->stats(v.ep).bytes_sent; }},
     {"/net/bytes_rx",
-     [](loc_view v) -> u64 { return v.net->link(v.ep).bytes_rx; }},
+     [](loc_view v) -> u64 { return v.net->stats(v.ep).bytes_received; }},
     {"/net/msgs_tx",
-     [](loc_view v) -> u64 { return v.net->link(v.ep).msgs_tx; }},
+     [](loc_view v) -> u64 { return v.net->stats(v.ep).messages_sent; }},
     {"/net/msgs_rx",
-     [](loc_view v) -> u64 { return v.net->link(v.ep).msgs_rx; }},
+     [](loc_view v) -> u64 { return v.net->stats(v.ep).messages_received; }},
     // The flight recorder and the stats sampler are process singletons: in
     // the sim shape every locality row reads the same process-wide value;
     // distributed (one locality per process) the row is genuinely per-rank.

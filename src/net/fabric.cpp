@@ -73,12 +73,12 @@ fabric::fabric(fabric_params params)
       inline_(charges_nothing(params)),
       handlers_(params.endpoints) {
   PX_ASSERT(params_.endpoints > 0);
+  init_books(0, params_.endpoints);
   util::xoshiro256 seeder(params_.seed);
   for (std::size_t i = 0; i < params_.endpoints; ++i) {
     auto shard = std::make_unique<send_shard>();
     shard->rng = seeder.split(static_cast<unsigned>(i));
     shards_.push_back(std::move(shard));
-    stats_.push_back(std::make_unique<atomic_endpoint_stats>());
   }
   progress_ = std::thread([this] { progress_loop(); });
 }
@@ -122,7 +122,7 @@ std::uint64_t fabric::model_latency_ns(endpoint_id a, endpoint_id b,
 
 void fabric::send(message m) {
   // Always-on range checks: an out-of-range endpoint would index
-  // handlers_/stats_/shards_ out of bounds.
+  // handlers_/shards_ and the books out of bounds.
   PX_ASSERT_MSG(m.dest < params_.endpoints, "fabric::send: dest out of range");
   PX_ASSERT_MSG(m.source < params_.endpoints,
                 "fabric::send: source out of range");
@@ -130,14 +130,10 @@ void fabric::send(message m) {
   traffic_started_.store(true, std::memory_order_release);
   const std::uint32_t units = m.units;
   const endpoint_id dest = m.dest;
-  sent_total_.fetch_add(units, std::memory_order_acq_rel);
+  count_sent(m);
   in_flight_.fetch_add(units, std::memory_order_acq_rel);
 
   const auto now = std::chrono::steady_clock::now();
-  auto& st = *stats_[m.source];
-  st.messages_sent.fetch_add(1, std::memory_order_relaxed);
-  st.parcels_sent.fetch_add(units, std::memory_order_relaxed);
-  st.bytes_sent.fetch_add(m.payload.size(), std::memory_order_relaxed);
 
   std::uint64_t delay_ns =
       model_latency_ns(m.source, m.dest, m.payload.size());
@@ -201,9 +197,7 @@ void fabric::drain_shard(endpoint_id ep) {
 }
 
 void fabric::deliver(message& m) noexcept {
-  auto& st = *stats_[m.dest];
-  st.messages_received.fetch_add(1, std::memory_order_relaxed);
-  st.bytes_received.fetch_add(m.payload.size(), std::memory_order_relaxed);
+  count_delivered(m);
   handler& h = handlers_[m.dest];
   PX_ASSERT_MSG(h != nullptr, "message to endpoint without handler");
   const std::uint32_t units = m.units;
@@ -324,28 +318,6 @@ void fabric::drain() {
   drained_cv_.wait(lock, [&] {
     return in_flight_.load(std::memory_order_acquire) == 0;
   });
-}
-
-endpoint_stats fabric::stats(endpoint_id ep) const {
-  PX_ASSERT(ep < stats_.size());
-  const atomic_endpoint_stats& st = *stats_[ep];
-  endpoint_stats out;
-  out.messages_sent = st.messages_sent.load(std::memory_order_relaxed);
-  out.parcels_sent = st.parcels_sent.load(std::memory_order_relaxed);
-  out.messages_received = st.messages_received.load(std::memory_order_relaxed);
-  out.bytes_sent = st.bytes_sent.load(std::memory_order_relaxed);
-  out.bytes_received = st.bytes_received.load(std::memory_order_relaxed);
-  return out;
-}
-
-link_counters fabric::link(endpoint_id ep) const {
-  const endpoint_stats st = stats(ep);
-  link_counters out;
-  out.bytes_tx = st.bytes_sent;
-  out.bytes_rx = st.bytes_received;
-  out.msgs_tx = st.messages_sent;
-  out.msgs_rx = st.messages_received;
-  return out;
 }
 
 util::log_histogram fabric::latency_histogram() const {

@@ -21,14 +21,17 @@
 //
 // Hot-path design: the send queue is sharded per destination endpoint, so
 // concurrent senders to different endpoints never contend on one global
-// mutex (per-endpoint stats are atomics, the latency histogram is internally
-// locked, and jitter RNG state is per shard).  Message payloads are drawn
-// from a buffer pool and recycled after the receive handler returns —
-// handlers take `message&` and decode in place (or steal the payload, which
-// simply costs the pool a miss).  A message may carry several coalesced
+// mutex (the per-endpoint books in the transport base are atomics, the
+// latency histogram is internally locked, and jitter RNG state is per
+// shard).  Message payloads are drawn from a buffer pool and recycled after
+// the receive handler returns — handlers take `message&` and decode in
+// place (or steal the payload, which simply costs the pool a miss).  A message may carry several coalesced
 // parcels: `units` is the logical parcel count, and the quiescence-facing
 // counters (messages_sent_total, in_flight) account in parcels, not frames,
-// while the latency model charges the full frame's bytes to the wire.
+// while the latency model charges the full frame's bytes to the wire.  The
+// traffic books themselves (stats(), messages_sent_total()) live in the
+// transport base; the fabric only reports each frame to them, on send and
+// on delivery.
 #pragma once
 
 #include <atomic>
@@ -107,14 +110,6 @@ class fabric final : public transport {
     return in_flight_.load(std::memory_order_acquire);
   }
 
-  // Monotonic count of parcels (message units) accepted by send(),
-  // incremented before the message is visible to any deliverer.
-  // Paired with scheduler::spawn_count() in the runtime's quiescence
-  // protocol to detect activity racing its counter reads.
-  std::uint64_t messages_sent_total() const noexcept override {
-    return sent_total_.load(std::memory_order_acquire);
-  }
-
   // Blocks until every message sent so far has been handed to its handler
   // and the handler returned.
   void drain() override;
@@ -130,8 +125,6 @@ class fabric final : public transport {
   std::size_t endpoints() const noexcept override {
     return params_.endpoints;
   }
-  endpoint_stats stats(endpoint_id ep) const override;
-  link_counters link(endpoint_id ep) const override;
   const char* backend_name() const noexcept override { return "sim"; }
   // Distribution of modeled in-flight delays (ns), one sample per parcel.
   util::log_histogram latency_histogram() const;
@@ -164,13 +157,6 @@ class fabric final : public transport {
     util::xoshiro256 rng{0};
     std::atomic<bool> draining{false};
   };
-  struct atomic_endpoint_stats {
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> parcels_sent{0};
-    std::atomic<std::uint64_t> messages_received{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> bytes_received{0};
-  };
 
   void progress_loop();
   void wake_progress();
@@ -187,7 +173,6 @@ class fabric final : public transport {
   std::vector<handler> handlers_;
   std::function<void()> idle_cb_;
   std::vector<std::unique_ptr<send_shard>> shards_;
-  std::vector<std::unique_ptr<atomic_endpoint_stats>> stats_;
 
   util::log_histogram latency_hist_;  // internally locked
 
@@ -209,7 +194,6 @@ class fabric final : public transport {
 
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> in_flight_{0};
-  std::atomic<std::uint64_t> sent_total_{0};
   std::thread progress_;
 };
 

@@ -311,16 +311,12 @@ void shm_transport::send(message m) {
   PX_ASSERT_MSG(m.units >= 1, "shm send: zero-unit message");
   traffic_started_.store(true, std::memory_order_release);
   const std::uint32_t units = m.units;
-  sent_total_.fetch_add(units, std::memory_order_release);
-  msgs_tx_.fetch_add(1, std::memory_order_relaxed);
-  parcels_tx_.fetch_add(units, std::memory_order_relaxed);
-  bytes_tx_.fetch_add(m.payload.size(), std::memory_order_relaxed);
+  count_sent(m);
   account_sent(m.dest, units);
 
   // Fault seam (PX_FAULT): an armed drop takes the whole batch before the
   // record becomes visible to the peer; a kill never returns.
   if (fault_drop_units(m.dest, units) > 0) {
-    dropped_total_.fetch_add(units, std::memory_order_release);
     account_dropped(m.dest, units);
     pool_.release(std::move(m.payload));
     notify_if_drained();
@@ -355,7 +351,6 @@ void shm_transport::send(message m) {
     pool_.release(std::move(m.payload));
     ring_doorbell(p);
   } else if (dropped) {
-    dropped_total_.fetch_add(units, std::memory_order_release);
     account_dropped(m.dest, units);
     if (oversize) {
       PX_LOG_WARN(
@@ -401,7 +396,6 @@ bool shm_transport::pump_ring(peer& p) {
     // stretch while our handler is still running.
     head += need;
     r.head.store(head, std::memory_order_release);
-    bytes_rx_.fetch_add(len, std::memory_order_relaxed);
 
     // Whole-frame seam: no frame_assembler — one validation pass and the
     // frame goes straight to delivery.
@@ -418,10 +412,9 @@ bool shm_transport::pump_ring(peer& p) {
       m.dest = params_.rank;
       m.units = *count;
       m.payload = std::move(buf);
-      msgs_rx_.fetch_add(1, std::memory_order_relaxed);
+      count_delivered(m);
       handler_(m);
       pool_.release(std::move(m.payload));
-      received_total_.fetch_add(*count, std::memory_order_release);
       account_delivered(p.rank, *count);
     } else {
       pool_.release(std::move(buf));
@@ -484,10 +477,7 @@ void shm_transport::close_peer(peer& p, const char* why) {
         p.out != nullptr ? p.out->consumed_units.load(std::memory_order_acquire)
                          : 0;
     orphaned += rung > consumed ? rung - consumed : 0;
-    if (orphaned > 0) {
-      dropped_total_.fetch_add(orphaned, std::memory_order_release);
-      account_dropped(p.rank, orphaned);
-    }
+    if (orphaned > 0) account_dropped(p.rank, orphaned);
   }
   // Unexpected close: leave the outstanding column intact — the shared
   // death fold (note_peer_closed) charges everything sent-minus-dropped as
@@ -635,38 +625,12 @@ void shm_transport::progress_loop() {
   }
 }
 
-endpoint_stats shm_transport::stats(endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "shm stats: remote ranks keep their own books");
-  endpoint_stats out;
-  out.messages_sent = msgs_tx_.load(std::memory_order_relaxed);
-  out.parcels_sent = parcels_tx_.load(std::memory_order_relaxed);
-  out.messages_received = msgs_rx_.load(std::memory_order_relaxed);
-  out.bytes_sent = bytes_tx_.load(std::memory_order_relaxed);
-  out.bytes_received = bytes_rx_.load(std::memory_order_relaxed);
-  return out;
-}
-
-link_counters shm_transport::link(endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "shm link: remote ranks keep their own books");
-  link_counters out;
-  out.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
-  out.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
-  out.msgs_tx = msgs_tx_.load(std::memory_order_relaxed);
-  out.msgs_rx = msgs_rx_.load(std::memory_order_relaxed);
-  return out;
-}
-
 std::vector<extra_link_counter> shm_transport::extra_link_counters(
     endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "shm link: remote ranks keep their own books");
-  return {{"ring_full_waits",
-           ring_full_waits_.load(std::memory_order_relaxed)},
-          {"wakeups", wakeups_.load(std::memory_order_relaxed)},
-          {"peer_failed", peers_failed_total()},
-          {"parcels_lost", parcels_lost_total()}};
+  return link_rows(
+      ep,
+      {{"ring_full_waits", ring_full_waits_.load(std::memory_order_relaxed)},
+       {"wakeups", wakeups_.load(std::memory_order_relaxed)}});
 }
 
 }  // namespace px::net

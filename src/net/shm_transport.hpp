@@ -102,28 +102,15 @@ class shm_transport final : public distributed_transport {
   void send(message m) override;
   void drain() override;
   std::uint64_t in_flight() const noexcept override;
-  std::uint64_t messages_sent_total() const noexcept override {
-    return sent_total_.load(std::memory_order_acquire);
-  }
   util::buffer_pool& pool() noexcept override { return pool_; }
   std::size_t endpoints() const noexcept override { return params_.nranks; }
-  endpoint_stats stats(endpoint_id ep) const override;
-  link_counters link(endpoint_id ep) const override;
   const char* backend_name() const noexcept override { return "shm"; }
-  bool whole_frame_delivery() const noexcept override { return true; }
   // Shm-specific rows: sends parked because a peer ring was full, futex
   // wakeups actually issued (0 under steady spin = the zero-syscall hot
   // path is real), plus the shared resilience rows (peers confirmed dead,
   // units lost with them).
   std::vector<extra_link_counter> extra_link_counters(
       endpoint_id ep) const override;
-
-  std::uint64_t parcels_received_total() const noexcept override {
-    return received_total_.load(std::memory_order_acquire);
-  }
-  std::uint64_t parcels_dropped_total() const noexcept override {
-    return dropped_total_.load(std::memory_order_acquire);
-  }
 
   const shm_params& params() const noexcept { return params_; }
 
@@ -189,15 +176,6 @@ class shm_transport final : public distributed_transport {
   // Ranks whose links close_link() asked the progress thread to tear down.
   std::atomic<std::uint64_t> pending_dead_{0};
 
-  std::atomic<std::uint64_t> sent_total_{0};
-  std::atomic<std::uint64_t> received_total_{0};
-  std::atomic<std::uint64_t> dropped_total_{0};
-
-  std::atomic<std::uint64_t> msgs_tx_{0};
-  std::atomic<std::uint64_t> parcels_tx_{0};
-  std::atomic<std::uint64_t> bytes_tx_{0};
-  std::atomic<std::uint64_t> msgs_rx_{0};
-  std::atomic<std::uint64_t> bytes_rx_{0};
   std::atomic<std::uint64_t> ring_full_waits_{0};
   std::atomic<std::uint64_t> wakeups_{0};
 

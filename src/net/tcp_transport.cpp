@@ -143,21 +143,16 @@ void tcp_transport::send(message m) {
   PX_ASSERT(m.units >= 1);
   traffic_started_.store(true, std::memory_order_release);
   const std::uint32_t units = m.units;
+  count_sent(m);
   account_sent(m.dest, units);
   if (fault_drop_units(m.dest, units) > 0) {
     // Injected drop (PX_FAULT): the units retire into the conservation
     // books exactly like a dead-link drop, so quiescence still balances.
-    sent_total_.fetch_add(units, std::memory_order_acq_rel);
-    dropped_total_.fetch_add(units, std::memory_order_acq_rel);
     account_dropped(m.dest, units);
     pool_.release(std::move(m.payload));
     return;
   }
-  sent_total_.fetch_add(units, std::memory_order_acq_rel);
   in_flight_.fetch_add(units, std::memory_order_acq_rel);
-  msgs_tx_.fetch_add(1, std::memory_order_relaxed);
-  parcels_tx_.fetch_add(units, std::memory_order_relaxed);
-  bytes_tx_.fetch_add(m.payload.size(), std::memory_order_relaxed);
 
   peer& p = *peers_[m.dest];
   bool dropped = false;
@@ -174,7 +169,6 @@ void tcp_transport::send(message m) {
   if (dropped) {
     // A dead link mid-run: drop (with the drop recorded so the quiescence
     // books stay balanced) rather than wedge every drain() forever.
-    dropped_total_.fetch_add(units, std::memory_order_acq_rel);
     account_dropped(m.dest, units);
     retire_in_flight(units);
     PX_LOG_WARN("tcp send: peer %u link is down, dropping %u parcels",
@@ -249,8 +243,6 @@ bool tcp_transport::pump_reads(peer& p) {
       close_peer(p, expected ? nullptr : "peer closed mid-run");
       return false;
     }
-    bytes_rx_.fetch_add(static_cast<std::uint64_t>(n),
-                        std::memory_order_relaxed);
     if (!p.assembler.feed(std::span<const std::byte>(scratch_.data(),
                                                      static_cast<std::size_t>(
                                                          n)))) {
@@ -265,13 +257,12 @@ bool tcp_transport::pump_reads(peer& p) {
       m.dest = params_.rank;
       m.units = units;
       m.payload = std::move(*frame);
-      msgs_rx_.fetch_add(1, std::memory_order_relaxed);
+      count_delivered(m);
       handler_(m);
       if (m.payload.capacity() > 0) pool_.release(std::move(m.payload));
       // Counted only after the handler returned: "delivered" in the
       // distributed quiescence books means the parcels' local effects
       // (thread spawns, counter bumps) are already visible.
-      received_total_.fetch_add(units, std::memory_order_acq_rel);
       account_delivered(p.rank, units);
     }
   }
@@ -293,7 +284,6 @@ void tcp_transport::close_peer(peer& p, const char* why) {
   if (orphaned > 0) {
     // Unsendable parcels must leave both the in-flight books (or drain()
     // wedges) and the quiescence sent balance (or quiesce rounds spin).
-    dropped_total_.fetch_add(orphaned, std::memory_order_acq_rel);
     account_dropped(p.rank, orphaned);
     retire_in_flight(orphaned);
   }
@@ -378,40 +368,13 @@ void tcp_transport::drain() {
   });
 }
 
-endpoint_stats tcp_transport::stats(endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "tcp stats: remote ranks keep their own books");
-  endpoint_stats out;
-  out.messages_sent = msgs_tx_.load(std::memory_order_relaxed);
-  out.parcels_sent = parcels_tx_.load(std::memory_order_relaxed);
-  out.messages_received = msgs_rx_.load(std::memory_order_relaxed);
-  out.bytes_sent = bytes_tx_.load(std::memory_order_relaxed);
-  out.bytes_received = bytes_rx_.load(std::memory_order_relaxed);
-  return out;
-}
-
-link_counters tcp_transport::link(endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "tcp link: remote ranks keep their own books");
-  link_counters out;
-  out.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
-  out.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
-  out.msgs_tx = msgs_tx_.load(std::memory_order_relaxed);
-  out.msgs_rx = msgs_rx_.load(std::memory_order_relaxed);
-  return out;
-}
-
 std::vector<extra_link_counter> tcp_transport::extra_link_counters(
     endpoint_id ep) const {
-  PX_ASSERT_MSG(ep == params_.rank,
-                "tcp link: remote ranks keep their own books");
   std::uint64_t reconnects = 0;
   for (const auto& p : peers_) {
     reconnects += p->reconnects.load(std::memory_order_relaxed);
   }
-  return {{"reconnects", reconnects},
-          {"peer_failed", peers_failed_total()},
-          {"parcels_lost", parcels_lost_total()}};
+  return link_rows(ep, {{"reconnects", reconnects}});
 }
 
 }  // namespace px::net

@@ -81,34 +81,12 @@ class tcp_transport final : public distributed_transport {
   std::uint64_t in_flight() const noexcept override {
     return in_flight_.load(std::memory_order_acquire);
   }
-  std::uint64_t messages_sent_total() const noexcept override {
-    return sent_total_.load(std::memory_order_acquire);
-  }
   util::buffer_pool& pool() noexcept override { return pool_; }
   std::size_t endpoints() const noexcept override { return params_.nranks; }
-  // Traffic totals of *this* rank (ep must equal rank; remote ranks keep
-  // their own books — ask them with a query_counter parcel).
-  endpoint_stats stats(endpoint_id ep) const override;
-  link_counters link(endpoint_id ep) const override;
   const char* backend_name() const noexcept override { return "tcp"; }
   // One TCP-specific row: extra dial attempts while the mesh came up.
   std::vector<extra_link_counter> extra_link_counters(
       endpoint_id ep) const override;
-
-  // Monotonic count of units fully delivered to the handler; the second
-  // half of the distributed quiescence sent/delivered balance.
-  std::uint64_t parcels_received_total() const noexcept override {
-    return received_total_.load(std::memory_order_acquire);
-  }
-
-  // Units accepted by send() but dropped before reaching a wire (dead
-  // link).  The quiescence books subtract these from the sent total: a
-  // dropped parcel will never be delivered anywhere, and leaving it in
-  // the balance would make global sent == delivered unsatisfiable — every
-  // rank would spin in quiesce rounds forever.
-  std::uint64_t parcels_dropped_total() const noexcept override {
-    return dropped_total_.load(std::memory_order_acquire);
-  }
 
   const tcp_params& params() const noexcept { return params_; }
 
@@ -165,16 +143,6 @@ class tcp_transport final : public distributed_transport {
   void retire_in_flight(std::uint64_t units);
 
   std::atomic<std::uint64_t> in_flight_{0};
-  std::atomic<std::uint64_t> sent_total_{0};
-  std::atomic<std::uint64_t> received_total_{0};
-  std::atomic<std::uint64_t> dropped_total_{0};
-
-  // Aggregate tx/rx books for stats()/link() (this rank's endpoint only).
-  std::atomic<std::uint64_t> msgs_tx_{0};
-  std::atomic<std::uint64_t> parcels_tx_{0};
-  std::atomic<std::uint64_t> bytes_tx_{0};
-  std::atomic<std::uint64_t> msgs_rx_{0};
-  std::atomic<std::uint64_t> bytes_rx_{0};
 
   mutable std::mutex drain_mutex_;
   std::condition_variable drained_cv_;

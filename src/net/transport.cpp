@@ -12,9 +12,57 @@ namespace px::net {
 transport::~transport() = default;
 distributed_transport::~distributed_transport() = default;
 
+void transport::init_books(endpoint_id first, std::size_t count) {
+  books_ = std::make_unique<books[]>(count);
+  first_booked_ = first;
+  booked_ = count;
+}
+
+transport::books& transport::books_of(endpoint_id ep) const {
+  PX_ASSERT_MSG(ep - first_booked_ < booked_,
+                "net stats: no books for this endpoint here (remote ranks "
+                "keep their own books)");
+  return books_[ep - first_booked_];
+}
+
+void transport::count_sent(const message& m) noexcept {
+  books& b = books_of(m.source);
+  b.messages_sent.fetch_add(1, std::memory_order_relaxed);
+  // acq_rel: messages_sent_total() must see the units before any
+  // deliverer can act on the frame.
+  b.parcels_sent.fetch_add(m.units, std::memory_order_acq_rel);
+  b.bytes_sent.fetch_add(m.payload.size(), std::memory_order_relaxed);
+}
+
+void transport::count_delivered(const message& m) noexcept {
+  books& b = books_of(m.dest);
+  b.messages_received.fetch_add(1, std::memory_order_relaxed);
+  b.bytes_received.fetch_add(m.payload.size(), std::memory_order_relaxed);
+}
+
+std::uint64_t transport::messages_sent_total() const noexcept {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < booked_; ++i) {
+    sum += books_[i].parcels_sent.load(std::memory_order_acquire);
+  }
+  return sum;
+}
+
+endpoint_stats transport::stats(endpoint_id ep) const {
+  const books& b = books_of(ep);
+  endpoint_stats out;
+  out.messages_sent = b.messages_sent.load(std::memory_order_relaxed);
+  out.parcels_sent = b.parcels_sent.load(std::memory_order_relaxed);
+  out.messages_received = b.messages_received.load(std::memory_order_relaxed);
+  out.bytes_sent = b.bytes_sent.load(std::memory_order_relaxed);
+  out.bytes_received = b.bytes_received.load(std::memory_order_relaxed);
+  return out;
+}
+
 void distributed_transport::init_peer_books(std::size_t nranks,
                                             std::size_t self) {
   PX_ASSERT_MSG(nranks <= 64, "peer ledger caps the machine at 64 ranks");
+  init_books(static_cast<endpoint_id>(self), 1);
   self_rank_ = self;
   units_to_ = std::vector<std::atomic<std::uint64_t>>(nranks);
   units_from_ = std::vector<std::atomic<std::uint64_t>>(nranks);
@@ -34,6 +82,32 @@ void distributed_transport::account_delivered(std::size_t rank,
 void distributed_transport::account_dropped(std::size_t rank,
                                             std::uint64_t units) noexcept {
   if (rank < dropped_to_.size()) dropped_to_[rank].fetch_add(units);
+}
+
+namespace {
+std::uint64_t sum(const std::vector<std::atomic<std::uint64_t>>& column) {
+  std::uint64_t total = 0;
+  for (const auto& units : column) total += units.load();
+  return total;
+}
+}  // namespace
+
+std::uint64_t distributed_transport::parcels_received_total() const noexcept {
+  return sum(units_from_);
+}
+
+std::uint64_t distributed_transport::parcels_dropped_total() const noexcept {
+  return sum(dropped_to_);
+}
+
+std::vector<extra_link_counter> distributed_transport::link_rows(
+    endpoint_id ep, std::initializer_list<extra_link_counter> own) const {
+  PX_ASSERT_MSG(ep == self_rank_,
+                "net link rows: remote ranks keep their own books");
+  std::vector<extra_link_counter> rows(own);
+  rows.push_back({"peer_failed", peers_failed_total()});
+  rows.push_back({"parcels_lost", parcels_lost_total()});
+  return rows;
 }
 
 std::uint64_t distributed_transport::fault_drop_units(

@@ -11,8 +11,13 @@
 //
 // Contract every backend must honor (the quiescence protocol depends on it):
 //   * send() never blocks on the receiver and is thread-safe;
-//   * messages_sent_total() counts *units* (logical parcels) and is bumped
-//     before the message becomes visible to any progress machinery;
+//   * send() reports each frame it accepts through count_sent() before the
+//     frame becomes visible to any progress machinery — so
+//     messages_sent_total(), which sums those books, counts *units*
+//     (logical parcels) accepted by send(), whether or not they later
+//     reach a wire (injected, dead-link and oversize drops included);
+//   * the delivering side reports each frame through count_delivered()
+//     just before handing it to the handler;
 //   * in_flight() covers every unit accepted by send() that this process
 //     still holds (queued or mid-delivery).  For the fabric that means
 //     until the receive handler returned; for TCP it means until the last
@@ -29,12 +34,15 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "util/buffer_pool.hpp"
+#include "util/cache.hpp"
 
 namespace px::util {
 class fault_injector;
@@ -64,24 +72,15 @@ struct message {
   std::uint32_t units = 1;  // logical parcels carried (1 for plain traffic)
 };
 
+// Per-endpoint traffic totals, published as runtime/loc<i>/net/* and
+// /fabric/parcels_sent.  One definition on every backend: the sent side is
+// what send() accepted, the received side what reached the handler.
 struct endpoint_stats {
-  std::uint64_t messages_sent = 0;   // frames put on the wire
+  std::uint64_t messages_sent = 0;   // frames accepted by send()
   std::uint64_t parcels_sent = 0;    // logical units (== messages unbatched)
-  std::uint64_t messages_received = 0;
+  std::uint64_t messages_received = 0;  // frames handed to the handler
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-};
-
-// Per-endpoint traffic totals in the shape the introspection registry
-// exposes them (runtime/loc<i>/net/*): what this endpoint put on and took
-// off the wire.  Backend-specific churn (TCP re-dials, shm ring stalls)
-// is published through extra_link_counters() below, so the schema only
-// carries rows the active backend actually maintains.
-struct link_counters {
-  std::uint64_t bytes_tx = 0;
-  std::uint64_t bytes_rx = 0;
-  std::uint64_t msgs_tx = 0;
-  std::uint64_t msgs_rx = 0;
 };
 
 // A backend-specific counter row: registered as runtime/loc<i>/net/<name>
@@ -122,28 +121,22 @@ class transport {
 
   virtual std::uint64_t in_flight() const noexcept = 0;
 
-  // Monotonic count of units accepted by send(); paired with
-  // scheduler::spawn_count() in the quiescence activity snapshot.
-  virtual std::uint64_t messages_sent_total() const noexcept = 0;
+  // Monotonic count of units accepted by send(), summed over the endpoints
+  // this process keeps books for; paired with scheduler::spawn_count() in
+  // the quiescence activity snapshot.
+  std::uint64_t messages_sent_total() const noexcept;
 
   // Recycled payload buffers; senders acquire here so the steady state
   // allocates nothing per message.
   virtual util::buffer_pool& pool() noexcept = 0;
 
   virtual std::size_t endpoints() const noexcept = 0;
-  virtual endpoint_stats stats(endpoint_id ep) const = 0;
-  virtual link_counters link(endpoint_id ep) const = 0;
   virtual const char* backend_name() const noexcept = 0;
 
-  // Whole-frame delivery seam.  A byte-stream backend (TCP) hands the
-  // receive path arbitrary fragments and needs parcel::frame_assembler to
-  // cut frames back out; a message-oriented backend (shm rings today, an
-  // ibverbs/libfabric RECV completion tomorrow) delivers complete frames
-  // and must skip reassembly entirely — its receive path validates each
-  // frame through whole_frame_ingest below and hands it straight to the
-  // handler.  The flag is advisory for introspection/tests; the backend
-  // itself owns acting on it.
-  virtual bool whole_frame_delivery() const noexcept { return false; }
+  // Traffic totals of endpoint `ep`.  A multi-process backend keeps books
+  // for its own rank only: asking for a remote rank's asserts (ask that
+  // rank with a query_counter parcel instead).
+  endpoint_stats stats(endpoint_id ep) const;
 
   // Backend-specific counter rows for endpoint `ep` (empty by default).
   // Names must be stable across the run; the runtime registers one
@@ -153,16 +146,46 @@ class transport {
     (void)ep;
     return {};
   }
+
+ protected:
+  // Keeps books for endpoints [first, first + count).  Call from the ctor.
+  void init_books(endpoint_id first, std::size_t count);
+
+  // The two counting sites every backend shares, one call per frame:
+  // count_sent when send() accepts `m` (before it becomes visible to any
+  // deliverer), count_delivered just before `m` reaches its handler.
+  void count_sent(const message& m) noexcept;
+  void count_delivered(const message& m) noexcept;
+
+ private:
+  // One cache line per endpoint: different endpoints' frames are counted
+  // on different threads.
+  struct alignas(util::cache_line_size) books {
+    std::atomic<std::uint64_t> messages_sent{0};
+    std::atomic<std::uint64_t> parcels_sent{0};
+    std::atomic<std::uint64_t> messages_received{0};
+    std::atomic<std::uint64_t> bytes_sent{0};
+    std::atomic<std::uint64_t> bytes_received{0};
+  };
+  books& books_of(endpoint_id ep) const;
+
+  std::unique_ptr<books[]> books_;
+  endpoint_id first_booked_ = 0;
+  std::size_t booked_ = 0;
 };
 
-// Validation gate for whole-frame backends: the frame_assembler bypass
-// must not also bypass its safety properties.  accept() runs the same
-// checks the assembler applies to a cut frame — bounded size, then a full
-// frame_view::parse walk (magic, count, every record length, every parcel
-// header) — and returns the frame's record count on success.  Any
-// rejection poisons the ingest permanently (the assembler's
-// poison-don't-resync stance: a corrupt shared-memory ring has no
-// trustworthy next message), and the owner must tear the link down.
+// Whole-frame delivery seam.  A byte-stream backend (TCP) hands the receive
+// path arbitrary fragments and needs parcel::frame_assembler to cut frames
+// back out; a message-oriented backend (shm rings today, an ibverbs/
+// libfabric RECV completion tomorrow) delivers complete frames and skips
+// reassembly entirely, validating each frame through this gate instead:
+// the frame_assembler bypass must not also bypass its safety properties.
+// accept() runs the same checks the assembler applies to a cut frame —
+// bounded size, then a full frame_view::parse walk (magic, count, every
+// record length, every parcel header) — and returns the frame's record
+// count on success.  Any rejection poisons the ingest permanently (the
+// assembler's poison-don't-resync stance: a corrupt shared-memory ring has
+// no trustworthy next message), and the owner must tear the link down.
 class whole_frame_ingest {
  public:
   explicit whole_frame_ingest(std::size_t max_frame_bytes = 64u << 20)
@@ -189,12 +212,14 @@ class whole_frame_ingest {
 // disconnect accounting, and the `mark_peer_dead` seam every death source
 // funnels through — a tcp EOF mid-run, the shm pid probe or closed flag,
 // and the bootstrap lease expiry all land in the same books, so both
-// backends report rank loss identically (docs/resilience.md).  A backend's
-// job is reduced to (a) calling account_sent/account_delivered/
-// account_dropped next to its own counters, (b) routing every peer-close
-// through note_peer_closed, and (c) implementing close_link() so an
-// external death verdict tears the link down and folds its outstanding
-// units into the dropped books.
+// backends report rank loss identically (docs/resilience.md).  The
+// process-wide unit totals (parcels_received_total, parcels_dropped_total)
+// are sums over that ledger, not separate counters.  A backend's job is
+// reduced to (a) calling account_sent/account_delivered/account_dropped
+// beside count_sent/count_delivered, (b) routing every peer-close through
+// note_peer_closed, and (c) implementing close_link() so an external death
+// verdict tears the link down and folds its outstanding units into the
+// dropped books.
 class distributed_transport : public transport {
  public:
   ~distributed_transport() override;  // key function (transport.cpp)
@@ -209,10 +234,14 @@ class distributed_transport : public transport {
   virtual void connect_peers(const std::vector<std::string>& table) = 0;
 
   // Units fully delivered to this process's handler / units this process
-  // dropped (dead link, oversize): inputs to the machine-wide parcel
-  // conservation identity in runtime::wait_quiescent.
-  virtual std::uint64_t parcels_received_total() const noexcept = 0;
-  virtual std::uint64_t parcels_dropped_total() const noexcept = 0;
+  // accepted but dropped (injected fault, dead link, oversize): inputs to
+  // the machine-wide parcel conservation identity in
+  // runtime::wait_quiescent, which subtracts the dropped units from the
+  // sent total (a dropped parcel is delivered nowhere; left in, it would
+  // make sent == delivered unsatisfiable).  Sums over the per-peer ledger
+  // below.
+  std::uint64_t parcels_received_total() const noexcept;
+  std::uint64_t parcels_dropped_total() const noexcept;
 
   // Arms orderly-shutdown mode: subsequent peer EOFs/closures are expected
   // teardown, not anomalies worth a warning.  Both backends consult this
@@ -286,8 +315,15 @@ class distributed_transport : public transport {
   // units + note_peer_closed), exactly like a locally-detected death.
   virtual void close_link(std::size_t rank) = 0;
 
-  // Sized nranks; `self` reserved (never accounted).  Call from the ctor.
+  // Sized nranks; `self` reserved (never accounted) and the only endpoint
+  // whose traffic books this process keeps.  Call from the ctor.
   void init_peer_books(std::size_t nranks, std::size_t self);
+
+  // extra_link_counters() body for backend `ep` (asserted to be this rank):
+  // the backend's own rows, then the resilience rows every multi-process
+  // backend shares (peer_failed, parcels_lost).
+  std::vector<extra_link_counter> link_rows(
+      endpoint_id ep, std::initializer_list<extra_link_counter> own) const;
 
   void account_sent(std::size_t rank, std::uint64_t units) noexcept;
   void account_delivered(std::size_t rank, std::uint64_t units) noexcept;

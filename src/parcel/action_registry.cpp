@@ -14,9 +14,10 @@ action_registry& action_registry::global() {
 action_registry::action_registry()
     : entries_(std::make_unique<entry[]>(max_actions)) {}
 
-action_id action_registry::insert(std::string name, view_handler fast,
-                                  handler slow) {
+action_id action_registry::register_action(std::string name,
+                                           view_handler fn) {
   PX_ASSERT(!name.empty());
+  PX_ASSERT(fn != nullptr);
   std::lock_guard lock(lock_);
   const std::uint32_t n = count_.load(std::memory_order_relaxed);
   PX_ASSERT_MSG(n < max_actions, "action registry full");
@@ -24,23 +25,11 @@ action_id action_registry::insert(std::string name, view_handler fast,
     PX_ASSERT_MSG(entries_[i].name != name, "action name registered twice");
   }
   entries_[n].name = std::move(name);
-  entries_[n].fast = fast;
-  entries_[n].slow = std::move(slow);
+  entries_[n].fn = fn;
   // Publish: dispatchers index only below count_, so the release store
   // makes the fully-written slot visible without them taking the lock.
   count_.store(n + 1, std::memory_order_release);
   return static_cast<action_id>(n + 1);  // ids start at 1
-}
-
-action_id action_registry::register_action(std::string name,
-                                           view_handler fn) {
-  PX_ASSERT(fn != nullptr);
-  return insert(std::move(name), fn, nullptr);
-}
-
-action_id action_registry::register_action(std::string name, handler h) {
-  PX_ASSERT(h != nullptr);
-  return insert(std::move(name), nullptr, std::move(h));
 }
 
 const action_registry::entry& action_registry::at(action_id id) const {
@@ -51,21 +40,11 @@ const action_registry::entry& action_registry::at(action_id id) const {
 }
 
 void action_registry::dispatch(void* ctx, const parcel_view& pv) const {
-  const entry& e = at(pv.action());
-  if (e.fast != nullptr) {
-    e.fast(ctx, pv);
-    return;
-  }
-  e.slow(ctx, pv.to_parcel());
+  at(pv.action()).fn(ctx, pv);
 }
 
-void action_registry::dispatch(void* ctx, parcel p) const {
-  const entry& e = at(p.action);
-  if (e.fast != nullptr) {
-    e.fast(ctx, parcel_view::of(p));  // borrows p.arguments, no copy
-    return;
-  }
-  e.slow(ctx, std::move(p));
+void action_registry::dispatch(void* ctx, const parcel& p) const {
+  at(p.action).fn(ctx, parcel_view::of(p));  // borrows p.arguments, no copy
 }
 
 std::optional<action_id> action_registry::find(std::string_view name) const {

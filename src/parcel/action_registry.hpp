@@ -7,17 +7,14 @@
 // the locality the parcel landed on — and a zero-copy parcel_view; the
 // typed argument-unpacking layer lives in core/action.hpp.
 //
-// Dispatch is the per-parcel hot path, so it is lock-free and, for actions
-// registered through core/action.hpp, allocation-free: entries live in a
-// fixed slab published by an atomic count (slots are written before the
-// count advances and are immutable afterwards), and the fast path is a raw
-// function pointer — no std::function type erasure, no registry lock.
-// Closure handlers remain supported for tests and ad-hoc endpoints; they
-// pay one parcel materialization per dispatch.
+// Dispatch is the per-parcel hot path, so it is lock-free and
+// allocation-free: entries live in a fixed slab published by an atomic
+// count (slots are written before the count advances and are immutable
+// afterwards), and every handler is a raw function pointer — no
+// std::function type erasure, no registry lock.
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,21 +31,18 @@ class action_registry {
   // to avoid a dependency cycle.  The view (and its backing buffer) is only
   // valid for the duration of the call; handlers copy what they keep.
   using view_handler = void (*)(void* ctx, const parcel_view& pv);
-  using handler = std::function<void(void* ctx, parcel p)>;
 
   action_registry();
 
   // Registers under a unique name; returns the stable id.  Re-registering
   // a name is an error (asserts) — action identity must be unambiguous.
   action_id register_action(std::string name, view_handler fn);
-  action_id register_action(std::string name, handler h);
 
-  // Invokes the handler for the view's action.  Zero-copy fast path for
-  // view_handler entries; closure entries receive a materialized parcel.
+  // Invokes the handler for the view's action: zero-copy.
   void dispatch(void* ctx, const parcel_view& pv) const;
-  // Dispatches an owned parcel (local fast path): view_handler entries
-  // borrow it without copying, closure entries take it by move.
-  void dispatch(void* ctx, parcel p) const;
+  // Dispatches an owned parcel (local fast path): the handler borrows it
+  // without copying.
+  void dispatch(void* ctx, const parcel& p) const;
 
   std::optional<action_id> find(std::string_view name) const;
   const std::string& name_of(action_id id) const;
@@ -62,11 +56,9 @@ class action_registry {
  private:
   struct entry {
     std::string name;
-    view_handler fast = nullptr;  // non-allocating dispatch when set
-    handler slow;                 // closure fallback
+    view_handler fn = nullptr;
   };
 
-  action_id insert(std::string name, view_handler fast, handler slow);
   const entry& at(action_id id) const;
 
   mutable util::spinlock lock_;  // writers and name lookups only

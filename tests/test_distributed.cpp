@@ -338,11 +338,15 @@ TEST(Distributed, LinkCountersSeeRealTraffic) {
         fut.get();
       }
     });
-    const auto link = rt.transport().link(rt.rank());
-    EXPECT_GT(link.bytes_tx, 0u);
-    EXPECT_GT(link.bytes_rx, 0u);
-    EXPECT_GT(link.msgs_tx, 0u);
-    EXPECT_GT(link.msgs_rx, 0u);
+    const auto books = rt.transport().stats(rt.rank());
+    EXPECT_GT(books.bytes_sent, 0u);
+    EXPECT_GT(books.bytes_received, 0u);
+    EXPECT_GT(books.messages_sent, 0u);
+    EXPECT_GT(books.messages_received, 0u);
+    // The net/* rows publish exactly these books.
+    const std::string p = "runtime/loc" + std::to_string(rt.rank()) + "/net/";
+    EXPECT_EQ(rt.introspection().read(p + "bytes_tx"), books.bytes_sent);
+    EXPECT_EQ(rt.introspection().read(p + "msgs_tx"), books.messages_sent);
     rt.stop();
     return;
   }

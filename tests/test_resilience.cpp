@@ -784,14 +784,14 @@ void determinism_rank_body() {
       }
     }
   });
-  const auto link =
-      rt.dist()->link(static_cast<net::endpoint_id>(rt.rank()));
+  const auto books =
+      rt.dist()->stats(static_cast<net::endpoint_id>(rt.rank()));
   const char* out = std::getenv("PXTEST_BOOKS");
   ASSERT_NE(out, nullptr);
   {
     std::ofstream f(std::string(out) + "." + std::to_string(rt.rank()) +
                     ".tmp");
-    f << link.bytes_tx << '\n';
+    f << books.bytes_sent << '\n';
   }
   std::rename((std::string(out) + "." + std::to_string(rt.rank()) + ".tmp")
                   .c_str(),

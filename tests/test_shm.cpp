@@ -1,7 +1,8 @@
 // Unit tests for the shared-memory data plane: the whole-frame delivery
 // seam (frame_assembler bypass + frame_view::parse poison path), the
-// shm_segment RAII lifetime, and two in-process shm_transport instances
-// exercising the ring/doorbell protocol end to end.
+// shm_segment RAII lifetime, two in-process shm_transport instances
+// exercising the ring/doorbell protocol end to end, and the traffic-book
+// contract every multi-process backend (tcp and shm) shares.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +19,22 @@
 #include "net/shm_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "parcel/parcel.hpp"
+#include "util/fault.hpp"
 #include "util/serialize.hpp"
 #include "util/shm_segment.hpp"
+
+// The backends the traffic-book contract test runs over; at global scope
+// so the typed test instances carry short names.
+struct tcp_backend {
+  using transport = px::net::tcp_transport;
+  using params = px::net::tcp_params;
+  static constexpr const char* name = "tcp";
+};
+struct shm_backend {
+  using transport = px::net::shm_transport;
+  using params = px::net::shm_params;
+  static constexpr const char* name = "shm";
+};
 
 namespace {
 
@@ -139,24 +154,6 @@ TEST(ShmSegment, DestructorUnlinksWhatItCreated) {
     EXPECT_TRUE(shm_name_exists(name));
   }
   EXPECT_FALSE(shm_name_exists(name));  // crash-safety backstop
-}
-
-// ------------------------------------------------- transport seam flags
-
-TEST(Shm, BackendsDeclareWholeFrameDelivery) {
-  net::shm_params sp;
-  sp.rank = 0;
-  sp.nranks = 1;
-  net::shm_transport shm(sp);
-  EXPECT_TRUE(shm.whole_frame_delivery());
-  EXPECT_STREQ(shm.backend_name(), "shm");
-
-  net::tcp_params tp;
-  tp.rank = 0;
-  tp.nranks = 1;
-  net::tcp_transport tcp(tp);
-  // The byte-stream backend keeps its frame_assembler.
-  EXPECT_FALSE(tcp.whole_frame_delivery());
 }
 
 // ---------------------------------------------- two-instance ring tests
@@ -336,6 +333,76 @@ TEST(Shm, ManySmallFramesFlowThroughRingWrap) {
 
   pair.a->expect_peer_disconnects();
   pair.b->expect_peer_disconnects();
+}
+
+// ------------------------------------------- backend traffic-book contract
+
+template <typename Backend>
+class BackendBooks : public ::testing::Test {};
+using multi_process_backends = ::testing::Types<tcp_backend, shm_backend>;
+TYPED_TEST_SUITE(BackendBooks, multi_process_backends);
+
+// One definition of a transmitted frame on every multi-process backend:
+// tx counts what send() accepted, so a fault-dropped frame is counted as
+// sent (and as dropped), exactly like a dead-link or oversize drop.  The
+// books therefore agree with each other and read the same on tcp and shm.
+TYPED_TEST(BackendBooks, FaultDroppedFrameCountsAsSent) {
+  using transport = typename TypeParam::transport;
+  typename TypeParam::params p;
+  p.nranks = 2;
+  p.rank = 0;
+  auto a = std::make_unique<transport>(p);
+  p.rank = 1;
+  auto b = std::make_unique<transport>(p);
+  EXPECT_STREQ(a->backend_name(), TypeParam::name);
+
+  // Rank 0 drops the frame that carries its 5th and 6th parcels.
+  util::fault_action drop;
+  drop.what = util::fault_action::kind::drop;
+  drop.after_parcels = 5;
+  util::fault_injector faults({drop}, 0);
+  a->arm_faults(&faults);
+
+  std::atomic<std::uint64_t> got{0};
+  a->set_handler(0, [](net::message&) {});
+  b->set_handler(1, [&](net::message& m) { got.fetch_add(m.units); });
+  const std::vector<std::string> table = {a->listen_address(),
+                                          b->listen_address()};
+  std::thread ta([&] { a->connect_peers(table); });
+  b->connect_peers(table);
+  ta.join();
+
+  constexpr std::uint64_t kFrames = 4;
+  const auto frame = make_frame(2);
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    net::message m;
+    m.source = 0;
+    m.dest = 1;
+    m.units = 2;
+    m.payload = frame;
+    a->send(std::move(m));
+  }
+  a->drain();
+  ASSERT_TRUE(eventually([&] { return got.load() == 2 * (kFrames - 1); }));
+
+  const net::endpoint_stats tx = a->stats(0);
+  EXPECT_EQ(tx.messages_sent, kFrames);
+  EXPECT_EQ(tx.parcels_sent, 2 * kFrames);
+  EXPECT_EQ(tx.bytes_sent, kFrames * frame.size());
+  EXPECT_EQ(a->messages_sent_total(), tx.parcels_sent);
+  EXPECT_EQ(a->units_sent_to(1), tx.parcels_sent);
+  EXPECT_EQ(a->parcels_dropped_total(), 2u);
+  EXPECT_EQ(a->units_dropped_to(1), 2u);
+
+  ASSERT_TRUE(eventually(
+      [&] { return b->parcels_received_total() == 2 * (kFrames - 1); }));
+  const net::endpoint_stats rx = b->stats(1);
+  EXPECT_EQ(rx.messages_received, kFrames - 1);
+  EXPECT_EQ(rx.bytes_received, (kFrames - 1) * frame.size());
+  EXPECT_EQ(b->units_received_from(0), 2 * (kFrames - 1));
+
+  a->expect_peer_disconnects();
+  b->expect_peer_disconnects();
 }
 
 }  // namespace
