@@ -2,48 +2,40 @@
 //
 // Paper §2.1: starvation is "idle cycles ... caused either due to
 // inadequate program parallelism or due to poor load balancing"; the model
-// answers with dynamic adaptive resource management.  This policy engine
-// closes the loop over the introspection subsystem:
+// answers with dynamic adaptive resource management.  One round closes the
+// loop over the introspection subsystem, in both deployment shapes:
 //
-//   observe   per-locality instantaneous ready depths
-//             (scheduler::ready_estimate; acting on a lagged signal would
-//             chase yesterday's imbalance, so decisions read the live
-//             counters while the introspect::monitor EWMA — refreshed on
-//             every poll — serves the exported counters and remote
-//             observers)
-//   decide    load-imbalance coefficient = max_depth / mean_depth;
-//             act only when it exceeds a threshold and the deepest queue
-//             is deep enough to matter
-//   act       (a) migrate the hottest gid-bound data objects away from the
-//                 overloaded locality (agas::migrate; in-flight parcels
-//                 heal through the stale-cache forwarding path), so the
-//                 *message-driven work follows the objects* to idle sites;
-//             (b) steer process::spawn_any placement toward the shallowest
+//   gate      poll() is rate-limited, and a latch keeps one round in flight
+//   observe   per-locality instantaneous ready depths (acting on a lagged
+//             signal would chase yesterday's imbalance).  The only step
+//             that differs by shape: in-process it reads every locality;
+//             distributed it reads its own depth and probes every other
+//             live rank's ready_depth counter (px.query_counter)
+//   decide    over live localities: imbalance = max_depth / mean_depth;
+//             act only above a threshold, with the deepest queue deep
+//             enough to matter
+//   act       (a) migrate_gid_async the hottest data objects (then any
+//                 migratable resident) from the deepest locality to the
+//                 below-mean ones, so the *message-driven work follows the
+//                 objects* to idle sites;
+//             (b) place() steers process::spawn_any toward the shallowest
 //                 ready queues, replacing static round-robin.
 //
-// poll() is cheap, rate-limited, and runs opportunistically on whichever
-// thread has nothing better to do: idle scheduler workers (a starved
-// locality lobbies for work on its own idle cycles) and the fabric
-// progress thread's idle callback (so a machine whose workers are all
-// pinned busy is still rebalanced from outside).
+// poll() runs on whichever thread has nothing better to do: idle scheduler
+// workers, and the transport progress thread's idle callback (so a machine
+// whose workers are all pinned busy is still rebalanced from outside).
 //
-// Distributed mode (PR 5): the observe/decide/act loop crosses process
-// boundaries.  Sampling a remote rank's ready depth is a px.query_counter
-// parcel round trip and acting is a px.migrate_object handoff, so a round
-// is a *continuation chain*, never a blocking thread: poll() fires the
-// probes (query_counter_cb), each reply lands on the delivery thread and
-// counts down, the last one runs decide+act inline, and each issued
-// migration's ack releases its slot of the round latch.  Nothing in the
-// chain needs a fiber on the overloaded rank — critical, because that
-// rank's workers are exactly the ones monopolized by the backlog the
-// round exists to shed (a round fiber would starve behind it).
-// Decisions are *push-only and symmetric*: every rank runs the same
-// policy, but only the rank that observes itself deepest migrates — it
-// owns the hot objects, so no cross-rank coordination (or conflict) is
-// possible.  A round only fires while this rank has a real backlog
-// (ready depth >= min_depth); that gate is what lets the machine quiesce
-// — once the backlog drains no new round fires, so wait_quiescent's
-// fixed point stays reachable.
+// Distributed, a round is a *continuation chain*, never a blocking thread:
+// probe replies count down on the delivery thread, the last one runs
+// decide + act inline, and each issued migration's ack releases its slot
+// of the latch — no fiber is needed on the overloaded rank, whose workers
+// are the ones monopolized by the backlog.  Decisions are *push-only and
+// symmetric*: every rank runs the same policy, but only the rank that sees
+// itself deepest migrates (it owns the hot objects; no coordination is
+// needed).  A round fires only while this rank has a backlog (ready depth
+// >= min_depth), which keeps wait_quiescent's fixed point reachable.  Lost
+// ranks are neither probed, averaged nor chosen, and a round still waiting
+// on a probe to a rank that died meanwhile is abandoned.
 #pragma once
 
 #include <atomic>
@@ -52,7 +44,6 @@
 #include <vector>
 
 #include "gas/gid.hpp"
-#include "util/spinlock.hpp"
 
 namespace px::core {
 
@@ -105,31 +96,32 @@ class rebalancer {
   rebalancer_stats stats() const;
 
  private:
-  void rebalance_once();
-  // Distributed round stages (see the class comment): gate + fire probes,
-  // per-reply countdown, decide + act, latch slot release.
-  void poll_distributed();
-  void start_round();
-  void note_depth(std::size_t idx, std::uint64_t depth);
-  void finish_round();
+  // One round's stages (see the header comment).
+  void observe();
+  void count_down(std::uint32_t round);
+  void abandon_lost_probes();
+  void decide_and_act();
   void release_round_slot();
 
   runtime& rt_;
   rebalancer_params params_;
 
   std::atomic<std::int64_t> last_poll_ns_{0};
-  util::spinlock round_lock_;  // one rebalance round at a time
 
-  // Distributed state: last sampled ready depth per rank (place() reads
-  // them; probe replies write), the round-in-flight latch, and the two
-  // countdowns pacing a round's stages.  The depth-counter gids are
-  // resolved lazily inside the first round and touched only under the
-  // latch, so they need no lock.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> rank_depths_;
+  // Last observed ready depth per locality (decide reads them; place()
+  // reads the remote ranks' ones), the round latch, and the two countdowns
+  // pacing a distributed round: outstanding probe replies, tagged with the
+  // round number in the high 32 bits so a late reply of an abandoned round
+  // cannot count down the next one, and the issued migrations (plus a
+  // sentinel) holding the latch.  The depth-counter gids are resolved
+  // lazily inside the first round and touched only under the latch, so
+  // they need no lock.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> depths_;
   std::atomic<bool> have_samples_{false};
   std::atomic<bool> round_active_{false};
-  std::atomic<std::uint32_t> probes_pending_{0};
-  std::atomic<std::uint32_t> round_slots_{0};  // issued migrations + sentinel
+  std::atomic<std::uint64_t> probes_{0};
+  std::atomic<std::uint64_t> probed_mask_{0};  // ranks probed this round
+  std::atomic<std::uint32_t> round_slots_{0};
   std::vector<gas::gid> depth_counter_gids_;
 
   std::atomic<std::uint64_t> rounds_{0};

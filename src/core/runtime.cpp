@@ -626,7 +626,7 @@ locality& runtime::at(gas::locality_id id) {
 
 net::fabric& runtime::fabric() {
   PX_ASSERT_MSG(fabric_ != nullptr,
-                "fabric(): no simulated fabric under the tcp backend");
+                "fabric(): no simulated fabric under a distributed backend");
   return *fabric_;
 }
 
@@ -675,10 +675,7 @@ gas::locality_id runtime::owner_of(gas::locality_id from, gas::gid id) {
       // stale.
       if (migration_enabled_) {
         if (const auto hint = agas_.cached(rank_, id)) {
-          if (((peer_dead_mask_.load(std::memory_order_acquire) >> *hint) &
-               1u) == 0) {
-            return *hint;
-          }
+          if (!peer_lost(*hint)) return *hint;
         }
       }
       return home;
@@ -715,9 +712,7 @@ void runtime::route(gas::locality_id from, parcel::parcel p) {
     at(from).note_dropped();
     return;
   }
-  if (distributed_ && owner != rank_ &&
-      ((peer_dead_mask_.load(std::memory_order_acquire) >> owner) & 1u) !=
-          0) {
+  if (distributed_ && owner != rank_ && peer_lost(owner)) {
     // The owner rank is confirmed dead (non-migratable gid homed there, or
     // a resolution that still names the casualty): the object is gone with
     // its process.  Drop here, before the transport — the link is already
@@ -888,28 +883,11 @@ void runtime::run(std::function<void()> root) {
   wait_quiescent();
 }
 
-bool runtime::rebalance_migrate(gas::gid id, gas::locality_id from,
-                                gas::locality_id to) {
-  if (id.kind() != gas::gid_kind::data) return false;
-  PX_ASSERT(to < localities_.size());
-  std::lock_guard migration(migrate_lock_);
-  const auto resolved = agas_.resolve_authoritative(to, id);
-  if (!resolved.has_value()) return false;  // unbound (object destroyed)
-  const gas::locality_id owner = *resolved;
-  if (owner != from || owner == to) return false;  // stale heat entry
-  auto obj = at(owner).get_object(id);
-  if (obj == nullptr) return false;  // racing migrate/destroy; skip
-  // Implant before rebinding, erase after: a parcel racing this move finds
-  // the object wherever its resolution lands it (old owner until the
-  // directory flips, new owner afterwards) — never a gap where dispatch
-  // would run against a missing object.
-  at(to).put_object(id, std::move(obj));
-  agas_.migrate(id, to);
-  at(owner).erase_object(id);
-  return true;
-}
-
-// ------------------------------------------------ cross-process migration
+// ------------------------------------------------------ runtime actions
+//
+// Action ids are positional, so these registrations keep their order.
+// The migration protocol behind px.migrate_object and px.agas_update
+// lives in core/migrate.cpp; its wire sends are at the end of this file.
 
 namespace {
 
@@ -1009,54 +987,6 @@ parcel::action_id peer_down_action_id() {
 
 }  // namespace
 
-void runtime::tag_migratable_object(gas::gid id, std::string type_name) {
-  std::lock_guard lock(mig_types_lock_);
-  mig_types_[id] = std::move(type_name);
-}
-
-std::optional<std::string> runtime::migration_type_of(gas::gid id) const {
-  std::lock_guard lock(mig_types_lock_);
-  const auto it = mig_types_.find(id);
-  if (it == mig_types_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<gas::gid> runtime::migratable_residents(std::size_t max) const {
-  std::vector<gas::gid> tagged;
-  {
-    std::lock_guard lock(mig_types_lock_);
-    tagged.reserve(mig_types_.size());
-    for (const auto& [id, type] : mig_types_) {
-      (void)type;
-      tagged.push_back(id);
-    }
-  }
-  // Residency check outside the types lock (has_object takes the object
-  // table lock; never hold both).
-  std::vector<gas::gid> out;
-  const locality& here = *localities_[rank_];
-  for (const auto id : tagged) {
-    if (out.size() >= max) break;
-    if (here.has_object(id)) out.push_back(id);
-  }
-  return out;
-}
-
-std::uint8_t runtime::apply_agas_update(gas::gid id,
-                                        gas::locality_id new_owner) {
-  // effective_home: after a rank loss this update may land at the
-  // casualty's successor, whose adopted shard starts empty — hence the
-  // tolerant rebind (upsert) instead of migrate's bound-entry assert.
-  PX_ASSERT_MSG(!distributed_ || effective_home(id) == rank_,
-                "px.agas_update landed off the home rank");
-  agas_.rebind(id, new_owner);
-  // Refresh this rank's own forwarding view too: routing from the home
-  // should go straight to the new owner, not through a stale cache entry
-  // that would bounce the parcel off the previous one.
-  agas_.note_owner(rank_, id, new_owner);
-  return 1;
-}
-
 // ------------------------------------------------------------- resilience
 
 void runtime::note_peer_failure(gas::locality_id rank) {
@@ -1131,167 +1061,37 @@ void runtime::rehome_gids_after_loss(gas::locality_id dead) {
       agas_.note_owner(rank_, id, rank_);
       continue;
     }
-    parcel::parcel p;
-    p.destination = locality_gid(succ);
-    p.action = agas_update_action_id();
-    p.arguments = util::to_bytes(
-        std::tuple<std::uint64_t, gas::locality_id>(id.bits(), rank_));
-    here().send(std::move(p));
+    send_agas_update(succ, id);
   }
 }
 
 void runtime::broadcast_peer_down(gas::locality_id dead) {
-  const std::uint64_t mask = peer_dead_mask_.load(std::memory_order_acquire);
   for (std::size_t r = 0; r < params_.localities; ++r) {
-    if (r == rank_ || ((mask >> r) & 1u) != 0) continue;
+    const auto lid = static_cast<gas::locality_id>(r);
+    if (lid == rank_ || peer_lost(lid)) continue;
     parcel::parcel p;
-    p.destination = locality_gid(static_cast<gas::locality_id>(r));
+    p.destination = locality_gid(lid);
     p.action = peer_down_action_id();
     p.arguments = util::to_bytes(static_cast<std::uint32_t>(dead));
     here().send(std::move(p));
   }
 }
 
-std::uint8_t runtime::migrate_implant(const parcel::migration_record& rec) {
-  const gas::gid id = gas::gid::from_bits(rec.gid_bits);
-  if (trace::enabled()) {
-    trace::emit_here(trace::event_kind::migrate_implant, rec.gid_bits,
-                     static_cast<std::uint32_t>(rank_));
-  }
-  const auto* vt = parcel::migratable_registry::global().find(rec.type_name);
-  PX_ASSERT_MSG(vt != nullptr,
-                "migration record names an unregistered type — ranks must "
-                "run the same binary with PX_REGISTER_MIGRATABLE in effect");
-  auto obj = vt->decode(rec.payload);
-  PX_ASSERT(obj != nullptr);
-  // Claim the gid for the whole implant, *including* the home round trip:
-  // the object must not be eligible for an onward migration until the
-  // home has acknowledged ours.  Without this, a chained A->B->C handoff
-  // could put B's and C's px.agas_update parcels on different connections
-  // and the home could apply them out of order, leaving the directory
-  // pointing at a rank that already retired its copy — a permanently
-  // stranded object.  Serializing handoff N+1 behind handoff N's home ack
-  // makes directory-update application order follow real time.
-  {
-    std::lock_guard lock(migrating_lock_);
-    const bool claimed = migrating_.insert(id).second;
-    PX_ASSERT_MSG(claimed,
-                  "migration implant for a gid already mid-handoff here");
-  }
-  tag_migratable_object(id, rec.type_name);
-  // Implant before the directory flips: from this moment a parcel landing
-  // here (raced ahead on a fresh hint) dispatches instead of bouncing.
-  here().put_object(id, std::move(obj));
-  // effective_home: if the gid's encoded home died, the directory flip
-  // goes to (or happens at) the adopted shard's successor instead.
-  const gas::locality_id dir_home = effective_home(id);
-  if (dir_home == rank_) {
-    apply_agas_update(id, rank_);
-  } else {
-    lco::promise<std::uint8_t> prom;
-    auto fut = prom.get_future();
-    const parcel::continuation cont =
-        make_promise_sink<std::uint8_t>(here(), std::move(prom));
-    parcel::parcel p;
-    p.destination = locality_gid(dir_home);
-    p.action = agas_update_action_id();
-    p.cont = cont;
-    p.arguments = util::to_bytes(
-        std::tuple<std::uint64_t, gas::locality_id>(id.bits(), rank_));
-    here().send(std::move(p));
-    const std::uint8_t ok = fut.get();
-    PX_ASSERT_MSG(ok == 1, "home rank refused the directory update");
-  }
-  agas_.note_owner(rank_, id, rank_);
-  {
-    std::lock_guard lock(migrating_lock_);
-    migrating_.erase(id);
-  }
-  return 1;
+void runtime::send_migration(gas::locality_id to,
+                             const parcel::migration_record& rec,
+                             parcel::continuation ack) {
+  apply_cont_from<&migrate_implant_action>(here(), locality_gid(to), ack, rec);
 }
 
-bool runtime::migrate_gid(gas::gid id, gas::locality_id to) {
-  if (id.kind() != gas::gid_kind::data) return false;
-  PX_ASSERT(to < params_.localities);
-  if (!distributed_) {
-    // Single-process: the untyped shared_ptr handoff already has the
-    // required ordering; reuse it (asking slot 0 exists in every shape).
-    const auto owner = agas_.resolve_authoritative(0, id);
-    if (!owner.has_value()) return false;
-    if (*owner == to) return true;
-    return rebalance_migrate(id, *owner, to);
-  }
-  if (to == rank_) return here().has_object(id);
-  PX_ASSERT_MSG(this_locality() != nullptr,
-                "migrate_gid must run on a ParalleX thread in distributed "
-                "mode (it blocks on the handoff acknowledgment)");
-  // The blocking form is the async handoff plus a future on the ack.
-  lco::promise<std::uint8_t> prom;
-  auto fut = prom.get_future();
-  const bool issued = migrate_gid_async(
-      id, to, [prom](bool ok) mutable { prom.set_value(ok ? 1 : 0); });
-  if (!issued) return false;
-  return fut.get() == 1;
-}
-
-bool runtime::migrate_gid_async(gas::gid id, gas::locality_id to,
-                                std::function<void(bool)> done) {
-  PX_ASSERT(distributed_);
-  if (id.kind() != gas::gid_kind::data || !migration_enabled_ ||
-      to == rank_ || to >= params_.localities) {
-    return false;
-  }
-  {
-    std::lock_guard lock(migrating_lock_);
-    if (!migrating_.insert(id).second) return false;
-  }
-  const auto obj = here().get_object(id);
-  const auto type = migration_type_of(id);
-  const parcel::migratable_registry::vtable* vt =
-      type.has_value() ? parcel::migratable_registry::global().find(*type)
-                       : nullptr;
-  if (obj == nullptr || vt == nullptr) {
-    std::lock_guard lock(migrating_lock_);
-    migrating_.erase(id);
-    return false;
-  }
-  parcel::migration_record rec;
-  rec.gid_bits = id.bits();
-  rec.type_name = *type;
-  rec.payload = vt->encode(obj);
-  if (trace::enabled()) {
-    trace::emit_here(trace::event_kind::migrate_begin, id.bits(),
-                     static_cast<std::uint32_t>(to));
-  }
-  // The ack continuation is a plain sink: its fire closure runs on the
-  // delivery thread and does only non-blocking work (same retire sequence
-  // as the blocking path).
-  const gas::gid sink = here().register_sink(
-      [this, id, to, done = std::move(done)](parcel::parcel) {
-        here().erase_object(id);
-        {
-          // Retire the type tag with the copy: the destination re-tagged
-          // on implant, and keeping ours would grow mig_types_ (and the
-          // rebalancer's residency scans) with every object that ever
-          // passed through this rank.
-          std::lock_guard lock(mig_types_lock_);
-          mig_types_.erase(id);
-        }
-        agas_.note_owner(rank_, id, to);
-        {
-          std::lock_guard lock(migrating_lock_);
-          migrating_.erase(id);
-        }
-        if (trace::enabled()) {
-          trace::emit_here(trace::event_kind::migrate_end, id.bits(),
-                           static_cast<std::uint32_t>(to));
-        }
-        if (done) done(true);
-      });
-  apply_cont_from<&migrate_implant_action>(
-      here(), locality_gid(to),
-      parcel::continuation{sink, sink_action_id()}, rec);
-  return true;
+void runtime::send_agas_update(gas::locality_id home, gas::gid id,
+                               parcel::continuation cont) {
+  parcel::parcel p;
+  p.destination = locality_gid(home);
+  p.action = agas_update_action_id();
+  p.cont = cont;
+  p.arguments = util::to_bytes(
+      std::tuple<std::uint64_t, gas::locality_id>(id.bits(), rank_));
+  here().send(std::move(p));
 }
 
 }  // namespace px::core

@@ -17,25 +17,26 @@
 //     with a net::bootstrap control plane.  localities_ is sparse
 //     (only this rank's slot is populated; at() on a remote id asserts),
 //     the AGAS directory shard for a gid lives in its *home rank's*
-//     process, and — since PR 5 — objects genuinely migrate between
-//     processes: migrate_gid() ships a registered-migratable object's
-//     state (parcel::migration_record) to the destination, which implants
-//     it, flips the home directory, and acks before the source retires its
-//     copy; parcels routed on stale knowledge heal through bounded home
-//     forwarding with piggybacked owner hints (gas/resolve.hpp), and the
-//     rebalancer issues cross-process migrations fed by cross-rank
-//     query_counter samples.  Closure-carrying calls (the untyped
-//     process::spawn) remain local-only — closures cannot cross a process
-//     boundary; typed actions (process::spawn_on<Fn>, process_ref,
+//     process, and parcels routed on stale knowledge heal through bounded
+//     home forwarding with piggybacked owner hints (gas/resolve.hpp).
+//     Closure-carrying calls (the untyped process::spawn) remain
+//     local-only — closures cannot cross a process boundary; typed actions
+//     (process::spawn_on<Fn>, process_ref,
 //     litlx::atomic_object::atomically<Fn>) are the cross-process
-//     vocabulary, since PR 6 with per-rank Dijkstra–Scholten credit
-//     splitting (core/process_site.hpp) so remote children spawn tracked
+//     vocabulary, with per-rank Dijkstra–Scholten credit splitting
+//     (core/process_site.hpp) so remote children spawn tracked
 //     grandchildren without a primary round trip.  wait_quiescent extends
-//     the local fixed
-//     point with a counting termination-detection collective over the
-//     bootstrap.  Boot-time gid allocation (locality gids, counter gids)
-//     replays identically in every process, so those names are
-//     machine-wide valid without any directory traffic.
+//     the local fixed point with a counting termination-detection
+//     collective over the bootstrap.  Boot-time gid allocation (locality
+//     gids, counter gids) replays identically in every process, so those
+//     names are machine-wide valid without any directory traffic.
+//
+// Objects migrate in both shapes through one primitive, migrate_gid_async
+// (core/migrate.cpp): a shared_ptr handoff in-process; across processes a
+// registered-migratable object's state (parcel::migration_record) ships
+// to the destination, which implants it, flips the home directory, and
+// acks before the source retires its copy.  migrate_gid and the
+// rebalancer (core/rebalancer.hpp) both go through it.
 #pragma once
 
 #include <atomic>
@@ -139,7 +140,7 @@ class runtime {
   // Whether cross-process object migration (and the owner-hint forwarding
   // protocol that serves it) is live.  Always false single-process —
   // in-process migration needs no wire protocol; PX_MIGRATION=0 restores
-  // PR 4's static home-owned behavior on the tcp backend.
+  // static home-owned placement on the tcp and shm backends.
   bool migration_enabled() const noexcept { return migration_enabled_; }
 
   gas::agas& gas() noexcept { return agas_; }
@@ -148,7 +149,7 @@ class runtime {
   // dead-peer mask, lost-unit totals); nullptr under the sim backend.
   net::distributed_transport* dist() noexcept { return dist_.get(); }
   // The wire, backend-agnostic; and the simulated fabric specifically
-  // (latency model, histogram — asserts under the tcp backend).
+  // (latency model, histogram — asserts under a distributed backend).
   net::transport& transport() noexcept { return *transport_; }
   net::fabric& fabric();
   parcel_port& port(gas::locality_id id) { return *ports_.at(id); }
@@ -163,16 +164,6 @@ class runtime {
     return *monitors_.at(id);
   }
   rebalancer& balancer() noexcept { return *balancer_; }
-
-  // Untyped control-plane migration used by the rebalancer: moves the
-  // object's table entry (implant at destination, then AGAS rebind, then
-  // erase at source — the object is continuously resolvable and present at
-  // whichever locality a racing parcel lands on).  Returns false when the
-  // object vanished or no longer lives at `from` (a stale heat entry for
-  // an object that already migrated away must not be yanked off an
-  // innocent locality).
-  bool rebalance_migrate(gas::gid id, gas::locality_id from,
-                         gas::locality_id to);
 
   // The typed hardware gid naming locality `id` (paper: hardware resources
   // are first-class named entities).
@@ -257,11 +248,6 @@ class runtime {
     return std::static_pointer_cast<T>(at(where).get_object(id));
   }
 
-  // Moves a serializable object to `to`, updating AGAS.  Parcels routed on
-  // stale caches are forwarded by the delivery path.
-  template <typename T>
-  void migrate_object(gas::gid id, gas::locality_id to);
-
   // Like new_object, but tags the gid with T's registered migratable type
   // (PX_REGISTER_MIGRATABLE), making it eligible for *cross-process*
   // migration (migrate_gid / the distributed rebalancer).  Untagged
@@ -273,16 +259,12 @@ class runtime {
     return id;
   }
 
-  // Moves object `id` to rank/locality `to`, by gid alone.  Single-process
-  // this is the untyped control-plane move (shared_ptr handoff).
-  // Distributed it is the px.migrate_object two-phase handoff: serialize
-  // the payload, implant at `to`, flip the home directory (home-mediated
-  // when home != to), then — only after the acknowledgment LCO fires —
-  // retire the source copy, so a racing parcel always finds the object
-  // wherever its resolution lands it.  Must run on a ParalleX thread of
-  // the owning rank in distributed mode (it blocks on the ack).  Returns
-  // false when the object is missing here, not data-kind, not tagged
-  // migratable (cross-process), or already mid-migration.
+  // Moves object `id` to rank/locality `to` through migrate_gid_async.
+  // Single-process it moves the object from its current owner and may be
+  // called from any thread.  Distributed it moves the object off this rank
+  // and blocks on the handoff ack, so it must run on a ParalleX thread.
+  // True when the object already lives at `to`; false when
+  // migrate_gid_async refuses the move.
   //
   // Coherence caveat (documented, not checked): between implant and
   // retire both ranks hold a copy and each dispatches the parcels that
@@ -291,17 +273,21 @@ class runtime {
   // throughout.
   bool migrate_gid(gas::gid id, gas::locality_id to);
 
-  // Non-blocking form of the distributed handoff, for callers that cannot
-  // suspend (the rebalancer acts from the transport progress thread, where
-  // a fiber could starve behind the very backlog it is trying to shed).
-  // Returns true when the handoff was *issued* — the synchronous checks
-  // (data-kind, tagged migratable, present here, not already mid-flight)
-  // passed and the px.migrate_object parcel is on its way; `done(true)`
-  // then fires exactly once on the delivery thread after the ack retires
-  // the source copy.  Returns false (and never calls `done`) when the
-  // synchronous checks fail.
-  bool migrate_gid_async(gas::gid id, gas::locality_id to,
-                         std::function<void(bool)> done);
+  // The one object-migration primitive: moves `id` from locality `from` to
+  // `to` — implant, then directory flip, then erase, so a racing parcel
+  // always finds the object — holding the gid's claim throughout.
+  // Single-process it hands the shared_ptr over, only while the directory
+  // still names `from` the owner (a stale heat entry must not yank an
+  // object off the locality it moved to), and calls `done(true)` before it
+  // returns.  Distributed `from` must be this rank: it ships a
+  // migratable-tagged object in a px.migrate_object parcel and never
+  // blocks (the rebalancer acts from the transport progress thread);
+  // `done(true)` fires once on the delivery thread after the ack retires
+  // the source copy.  Returns false, never calling `done`, when not
+  // data-kind, `from == to`, `to` out of range or lost, the object not at
+  // `from`, untagged (distributed), or already mid-migration.
+  bool migrate_gid_async(gas::gid id, gas::locality_id from,
+                         gas::locality_id to, std::function<void(bool)> done);
 
   // Records/queries the migratable type name a gid was created under
   // (new_migratable tags at creation; cross-process implants re-tag at the
@@ -309,16 +295,16 @@ class runtime {
   void tag_migratable_object(gas::gid id, std::string type_name);
   std::optional<std::string> migration_type_of(gas::gid id) const;
 
-  // Up to `max` migratable-tagged gids currently resident at this rank's
-  // locality.  The rebalancer's fallback candidate source: a latency-bound
-  // backlog delivers too rarely for the 1-in-8 heat sampler to name the
-  // hot objects, and on a deeply imbalanced rank shedding *any* resident
-  // beats shedding nothing.
-  std::vector<gas::gid> migratable_residents(std::size_t max) const;
+  // Up to `max` migratable-tagged gids currently resident at locality
+  // `where` (hosted by this process).  The rebalancer's fallback candidate
+  // source: a latency-bound backlog delivers too rarely for the 1-in-8
+  // heat sampler to name the hot objects, and on a deeply imbalanced
+  // locality shedding *any* resident beats shedding nothing.
+  std::vector<gas::gid> migratable_residents(gas::locality_id where,
+                                             std::size_t max) const;
 
   // Internal: the receiving side of px.migrate_object (implant + directory
-  // flip), and the home side of the directory update.  Both run as typed
-  // actions (runtime.cpp).
+  // flip), and the home side of the directory update (core/migrate.cpp).
   std::uint8_t migrate_implant(const parcel::migration_record& rec);
   std::uint8_t apply_agas_update(gas::gid id, gas::locality_id new_owner);
 
@@ -343,12 +329,15 @@ class runtime {
   // with no coordination.
   gas::locality_id effective_home(gas::gid id) const noexcept;
 
-  // Confirmed-dead peer ranks as a bitmask (bit r = rank r lost), and
-  // whether any loss has been confirmed at all.
+  // Confirmed-dead peer ranks as a bitmask (bit r = rank r lost), whether
+  // any loss has been confirmed at all, and whether rank `r` is lost.
   std::uint64_t lost_peer_mask() const noexcept {
     return peer_dead_mask_.load(std::memory_order_acquire);
   }
   bool has_lost_peers() const noexcept { return lost_peer_mask() != 0; }
+  bool peer_lost(gas::locality_id r) const noexcept {
+    return r < 64 && ((lost_peer_mask() >> r) & 1u) != 0;
+  }
 
   // Objects whose gid can no longer resolve because they died with a lost
   // rank: unique-gid count (the runtime/agas/gids_lost counter), and the
@@ -372,6 +361,18 @@ class runtime {
   // successor; then gossip px.peer_down to the remaining survivors.
   void rehome_gids_after_loss(gas::locality_id dead);
   void broadcast_peer_down(gas::locality_id dead);
+  // Migration wire sends (runtime.cpp, beside the action registrations,
+  // which are positional and must keep their order): the px.migrate_object
+  // handoff to `to`, and a px.agas_update naming this rank the owner of
+  // `id` at its directory home.
+  void send_migration(gas::locality_id to, const parcel::migration_record& rec,
+                      parcel::continuation ack);
+  void send_agas_update(gas::locality_id home, gas::gid id,
+                        parcel::continuation cont = {});
+  // The per-gid migration claim (migrating_): false when the gid is
+  // already mid-move.
+  bool claim_migration(gas::gid id);
+  void release_migration(gas::gid id);
 
   runtime_params params_;
   gas::agas agas_;
@@ -403,16 +404,10 @@ class runtime {
   // Per-process credit ledgers for this rank (process_sites()).
   process_site_table psites_;
 
-  // Serializes object migrations: a rebalancer round racing a user
-  // migrate_object on the same gid could otherwise implant a stale
-  // pointer over the other's move.  Migration is control-plane rare, so
-  // one lock for all of them is fine.
-  util::spinlock migrate_lock_;
-
-  // Cross-process migration bookkeeping: which gids carry a registered
-  // migratable type (gid -> type name), and which are mid-handoff (the
-  // blocking migrate_gid protocol cannot hold a spinlock across its
-  // suspension points, so in-flight gids are claimed in a set instead).
+  // Migration bookkeeping: which gids carry a registered migratable type
+  // (gid -> type name), and which are mid-move in either shape (a
+  // cross-process handoff cannot hold a spinlock across its suspension
+  // points, so in-flight gids are claimed in a set instead).
   mutable util::spinlock mig_types_lock_;
   std::unordered_map<gas::gid, std::string> mig_types_;
   util::spinlock migrating_lock_;
@@ -443,29 +438,10 @@ class runtime {
   std::unordered_set<gas::gid> lost_gids_;
   std::atomic<std::uint64_t> gids_lost_{0};
 
-  bool migration_enabled_ = false;  // cross-process protocol (tcp only)
+  bool migration_enabled_ = false;  // cross-process protocol (tcp, shm)
   bool distributed_ = false;
   gas::locality_id rank_ = 0;  // this process's locality (0 when sim)
   bool started_ = false;
 };
-
-template <typename T>
-void runtime::migrate_object(gas::gid id, gas::locality_id to) {
-  // Synchronous control-plane migration.  Same implant-rebind-erase order
-  // as rebalance_migrate: a parcel racing the move always finds the object
-  // present wherever its resolution lands it.  Data-plane traffic routed
-  // on stale caches is healed by delivery-path forwarding; concurrent
-  // *migrations* of the same object are serialized by migrate_lock_.
-  std::lock_guard migration(migrate_lock_);
-  const auto resolved = agas_.resolve_authoritative(to, id);
-  PX_ASSERT_MSG(resolved.has_value(), "migrate of unbound gid");
-  const gas::locality_id owner = *resolved;
-  if (owner == to) return;
-  auto obj = std::static_pointer_cast<T>(at(owner).get_object(id));
-  PX_ASSERT_MSG(obj != nullptr, "migrate: object not at resolved owner");
-  at(to).put_object(id, std::move(obj));
-  agas_.migrate(id, to);
-  at(owner).erase_object(id);
-}
 
 }  // namespace px::core

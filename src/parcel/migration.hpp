@@ -1,7 +1,7 @@
 // Migration payload records: object state on the wire.
 //
-// In-process migration (PR 3's rebalancer, runtime::migrate_object<T>)
-// moves a shared_ptr between locality tables — the bytes never move.  A
+// In-process migration (runtime::migrate_gid_async in the single-process
+// shape) moves a shared_ptr between locality tables — the bytes never move.  A
 // *cross-process* migration has to ship the object's state through the
 // same PR 2 frame pipeline every parcel rides, which needs two things the
 // type-erased object table cannot provide:

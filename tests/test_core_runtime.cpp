@@ -208,7 +208,7 @@ TEST(Runtime, ParcelsFollowMigratedObjects) {
 
   // Warm locality 1's AGAS cache, then migrate away and send again from
   // locality 1: the parcel lands on the stale owner and must be forwarded.
-  rt.migrate_object<counter_object>(obj, 2);
+  EXPECT_TRUE(rt.migrate_gid(obj, 2));
   rt.run([&] { core::apply<&hit_counter>(obj, obj.bits()); });
   auto moved = rt.get_local<counter_object>(2, obj);
   ASSERT_NE(moved, nullptr);
@@ -268,8 +268,8 @@ TEST(Runtime, MigrationUnderLoadNeverWedgesOrCrashes) {
     for (int i = 0; i < kParcels; ++i) {
       core::apply<&chase_counter>(obj, obj.bits());
       if (i % 25 == 24) {
-        rt.migrate_object<counter_object>(
-            obj, static_cast<gas::locality_id>((i / 25) % 3));
+        EXPECT_TRUE(
+            rt.migrate_gid(obj, static_cast<gas::locality_id>((i / 25) % 3)));
       }
     }
   });
@@ -377,7 +377,7 @@ TEST(Runtime, StaleCacheForwardingDelivers) {
   // Populate locality 0's cache with owner=1.
   rt.run([&] { core::apply<&hit_counter>(obj, obj.bits()); });
   // Move to 2; locality 0 still believes 1.
-  rt.migrate_object<counter_object>(obj, 2);
+  EXPECT_TRUE(rt.migrate_gid(obj, 2));
   auto cached = rt.gas().resolve(0, obj);
   ASSERT_TRUE(cached.has_value());
 
@@ -385,6 +385,35 @@ TEST(Runtime, StaleCacheForwardingDelivers) {
   EXPECT_EQ(rt.get_local<counter_object>(2, obj)->hits.load(), 2);
   // The forward refreshed the authoritative route.
   EXPECT_EQ(rt.gas().resolve_authoritative(0, obj).value(), 2u);
+}
+
+TEST(Runtime, MigrationRefusesStaleSource) {
+  // The rebalancer names a move's source from its heat list, which can
+  // still list an object that has since moved on.  Such a move must be
+  // refused, not yank the object off the locality it moved to.
+  runtime rt(quick_params(3));
+  rt.start();
+  const gas::gid obj = rt.new_object<counter_object>(2);
+  const auto migrations = rt.gas().stats().migrations;
+  bool fired = false;
+  EXPECT_FALSE(rt.migrate_gid_async(obj, 0, 1, [&](bool) { fired = true; }));
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(rt.at(2).has_object(obj));
+  EXPECT_FALSE(rt.at(1).has_object(obj));
+  EXPECT_EQ(rt.gas().resolve_authoritative(0, obj).value(), 2u);
+
+  // Already at the destination: success, and nothing moves.
+  EXPECT_TRUE(rt.migrate_gid(obj, 2));
+  EXPECT_TRUE(rt.at(2).has_object(obj));
+  EXPECT_EQ(rt.gas().stats().migrations, migrations);
+
+  // Named from its real owner it moves, and done fires before the return.
+  bool moved = false;
+  EXPECT_TRUE(rt.migrate_gid_async(obj, 2, 1, [&](bool ok) { moved = ok; }));
+  EXPECT_TRUE(moved);
+  EXPECT_TRUE(rt.at(1).has_object(obj));
+  EXPECT_FALSE(rt.at(2).has_object(obj));
+  EXPECT_EQ(rt.gas().resolve_authoritative(0, obj).value(), 1u);
 }
 
 // ---------------------------------------------------------------- process

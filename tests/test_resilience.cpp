@@ -9,7 +9,9 @@
 //   * orderly vs unexpected disconnect accounting, identical across the
 //     tcp and shm backends,
 //   * bootstrap partial failures (death before hello / during barrier /
-//     between quiesce rounds) end in a clean nonzero exit, never a hang.
+//     between quiesce rounds) end in a clean nonzero exit, never a hang,
+//   * migration toward a casualty is refused, and the distributed
+//     rebalancer keeps completing rounds after a loss.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,7 @@
 #include "net/tcp_transport.hpp"
 #include "parcel/migration.hpp"
 #include "parcel/parcel.hpp"
+#include "threads/scheduler.hpp"
 #include "util/fault.hpp"
 #include "util/serialize.hpp"
 #include "util/subproc.hpp"
@@ -515,6 +518,11 @@ void rehome_rank_body() {
   // (rank 0 == next live rank after 2), not a warm cache.
   rt.gas().invalidate_cache(rt.rank(), obj_a);
   rt.run([&] {
+    // A move toward the casualty is refused up front: its handoff parcel
+    // would be dropped, and the ack it waits for would never come.
+    if (rt.rank() == 0) {
+      EXPECT_FALSE(rt.migrate_gid(obj_a, 2));
+    }
     for (int i = 0; i < 10; ++i) core::apply<&resil_poke>(obj_a);
   });
   if (rt.rank() == 0) {
@@ -542,6 +550,110 @@ TEST(Resilience, KillRankReHomesDirectory) {
                      {{"PX_LEASE_MS", "5000"},
                       {"PX_HEARTBEAT_INTERVAL_US", "20000"}},
                      {0, 0, -1});
+}
+
+// ------------------------------------------ rebalancing after a loss
+
+std::atomic<bool> g_backlog_release{false};
+
+// Runs inside this rank's root fiber: holds a backlog of yielding spinners
+// (ready depth >= 1, so with PX_REBALANCE_MIN_DEPTH=1 the rebalancer's
+// backlog gate lets rounds fire) until `done()` holds or 20 s pass.
+template <typename Pred>
+void hold_backlog_until(Pred&& done) {
+  g_backlog_release.store(false);
+  for (int i = 0; i < 8; ++i) {
+    core::this_locality()->spawn([] {
+      while (!g_backlog_release.load(std::memory_order_acquire)) {
+        threads::scheduler::yield();
+      }
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    threads::scheduler::yield();
+  }
+  g_backlog_release.store(true, std::memory_order_release);
+}
+
+const px::test::env_list kRebalanceAfterLossEnv = {
+    {"PX_LEASE_MS", "5000"},
+    {"PX_HEARTBEAT_INTERVAL_US", "20000"},
+    {"PX_REBALANCE", "1"},
+    {"PX_REBALANCE_MIN_DEPTH", "1"},
+    // Out of reach (max/mean <= rank count): rounds run, nothing migrates.
+    {"PX_REBALANCE_THRESHOLD", "1000"},
+    {"PX_REBALANCE_INTERVAL_US", "50"},
+};
+
+// After rank 2 dies, rank 0 builds a backlog and its rebalancer must keep
+// completing rounds: the casualty is neither probed nor waited on.
+void rebalance_after_loss_rank_body() {
+  core::runtime rt;
+  ASSERT_TRUE(rt.balancer().enabled());
+  rt.run([&] {
+    if (rt.rank() == 2) ::raise(SIGKILL);
+  });
+  EXPECT_EQ(rt.lost_peer_mask(), 1ull << 2);
+
+  const std::uint64_t before = rt.balancer().stats().rounds;
+  std::uint64_t after = before;
+  rt.run([&] {
+    if (rt.rank() != 0) return;
+    hold_backlog_until(
+        [&] { return rt.balancer().stats().rounds >= before + 2; });
+    after = rt.balancer().stats().rounds;
+  });
+  if (rt.rank() == 0) {
+    EXPECT_GE(after, before + 2) << "rebalancer rounds stalled after the loss";
+  }
+  EXPECT_EQ(rt.balancer().stats().triggers, 0u);
+  EXPECT_EQ(rt.balancer().stats().objects_migrated, 0u);
+  rt.stop();
+}
+
+TEST(Resilience, RebalancerKeepsRunningAfterRankLoss) {
+  if (px::test::is_rank_child()) {
+    rebalance_after_loss_rank_body();
+    return;
+  }
+  run_ranks_with_env(3, "Resilience.RebalancerKeepsRunningAfterRankLoss",
+                     "tcp", kRebalanceAfterLossEnv, {0, 0, -1});
+}
+
+// Rank 2 dies while answering a probe: PX_FAULT kills it as it sends its
+// third reply to rank 0, so rank 0 holds a round waiting on a reply that
+// will never come.  Once the loss is confirmed that round must be
+// abandoned, and the rounds after it must complete without rank 2.
+void abandon_round_rank_body() {
+  core::runtime rt;
+  std::uint64_t at_loss = 0;
+  std::uint64_t after = 0;
+  rt.run([&] {
+    if (rt.rank() != 0) return;
+    hold_backlog_until([&] { return rt.has_lost_peers(); });
+    at_loss = rt.balancer().stats().rounds;
+    hold_backlog_until(
+        [&] { return rt.balancer().stats().rounds >= at_loss + 2; });
+    after = rt.balancer().stats().rounds;
+  });
+  EXPECT_EQ(rt.lost_peer_mask(), 1ull << 2);
+  if (rt.rank() == 0) {
+    EXPECT_GE(after, at_loss + 2)
+        << "a round waiting on the casualty's probe reply held the latch";
+  }
+  rt.stop();
+}
+
+TEST(Resilience, RebalancerAbandonsRoundWaitingOnLostRank) {
+  if (px::test::is_rank_child()) {
+    abandon_round_rank_body();
+    return;
+  }
+  px::test::env_list env = kRebalanceAfterLossEnv;
+  env.emplace_back("PX_FAULT", "kill:rank=2,after_parcels=3,peer=0");
+  run_ranks_with_env(3, "Resilience.RebalancerAbandonsRoundWaitingOnLostRank",
+                     "tcp", env, {0, 0, -1});
 }
 
 // ------------------------------------------- bootstrap partial failures
