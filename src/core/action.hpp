@@ -8,6 +8,13 @@
 // specifier*, so the result flows back (or onward) without the caller ever
 // blocking the execution site.
 //
+// Typed actions register as *spawning*: their handler only creates the
+// thread.  The runtime therefore dispatches the typed parcels of a
+// multi-parcel frame from a worker of the destination (one handoff per
+// frame, then owner-deque spawns), while the raw-registered control-plane
+// handlers (px.sink, px.agas_*, px.query_*, px.peer_down) always run
+// inline on the delivering thread (runtime::deliver_from_fabric).
+//
 // Registration is lazy and race-free (magic statics); because all
 // localities share one program image, an action_id minted at first use is
 // valid everywhere before any parcel carrying it can arrive.
@@ -82,8 +89,10 @@ struct action {
                         : std::string("auto.") + typeid(action).name();
     // &invoke is a plain function pointer: dispatch for typed actions is
     // the registry's non-allocating fast path (no std::function erasure).
+    // It only spawns, so the registry marks it spawning: a multi-parcel
+    // frame's typed actions are dispatched from the destination's worker.
     return parcel::action_registry::global().register_action(
-        std::move(reg_name), &invoke);
+        std::move(reg_name), &invoke, /*spawns=*/true);
   }
 
   static void invoke(void* ctx, const parcel::parcel_view& pv) {
@@ -95,7 +104,9 @@ struct action {
     const parcel::continuation cont = pv.cont();
     // Message-driven execution: the parcel's arrival *is* the thread
     // creation event (paper: parcels let execution sites operate via a
-    // work-queue model).
+    // work-queue model).  This runs on a worker of `loc` for the local fast
+    // path and for a multi-parcel frame (an owner-deque push), and on the
+    // delivering thread for a frame's lone user parcel (an inject push).
     loc->spawn([loc, cont, args = std::move(args)]() mutable {
       if constexpr (std::is_void_v<result_type>) {
         std::apply(Fn, std::move(args));

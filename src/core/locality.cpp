@@ -131,10 +131,12 @@ void locality::send(parcel::parcel p) {
 bool locality::arriving_needs_forward(gas::gid dest) {
   // Establish locality context for the delivery path: sink-fired
   // continuations (and anything they apply) run with the receiving locality
-  // as "here".  The delivering thread may be a transport progress thread,
-  // one of this locality's workers (idempotent write), or — on the
+  // as "here".  The delivering thread is one of this locality's workers
+  // (idempotent write) for the local fast path and for the user parcels of
+  // a multi-parcel frame (runtime::deliver_from_fabric hands those over as
+  // one task); otherwise it is a transport progress thread or — on the
   // zero-latency sim fabric — a sender of another locality, whose own
-  // context runtime::deliver_from_fabric restores once the frame is done.
+  // context deliver_from_fabric restores once the frame is done.
   detail::set_this_locality(this);
 
   // Ownership check for migratable kinds: if the object moved away and we

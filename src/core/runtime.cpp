@@ -753,8 +753,8 @@ void runtime::route(gas::locality_id from, parcel::parcel p) {
 
 void runtime::deliver_from_fabric(net::message& m) {
   // Zero-copy receive: walk the batch frame in place; each parcel_view
-  // borrows the message payload, which the fabric recycles after we
-  // return.  Actions that keep state copy what they need.
+  // borrows the message payload.  Actions that keep state copy what they
+  // need.
   const auto frame = parcel::frame_view::parse(m.payload);
   PX_ASSERT_MSG(frame.has_value(), "fabric delivered an invalid parcel frame");
   if (trace::enabled()) {
@@ -767,8 +767,42 @@ void runtime::deliver_from_fabric(net::message& m) {
   // gets its own back afterwards.
   locality* const caller = this_locality();
   locality& dst = at(m.dest);
+  const auto& actions = parcel::action_registry::global();
+  // Control-plane handlers run here, inline, as the frame is walked — they
+  // must never queue behind user fibers — and spawning (user) parcels are
+  // counted.  A lone one is dispatched here too: its spawn is a single
+  // handoff either way, and request/reply traffic (every ping frame, most
+  // of mixed's) is made of such frames.
+  std::uint32_t users = 0;
+  parcel::parcel_view lone_user;
   for (auto it = frame->begin(); it != frame->end(); ++it) {
-    dst.deliver(*it);
+    const parcel::parcel_view pv = *it;
+    if (!actions.spawns(pv.action())) {
+      dst.deliver(pv);
+    } else if (users++ == 0) {
+      lone_user = pv;
+    }
+  }
+  if (users == 1) {
+    dst.deliver(lone_user);
+  } else if (users > 1) {
+    // Two or more user parcels: hand the whole frame to the destination in
+    // one task instead of one cross-thread spawn per parcel.  The task
+    // owns the payload (the transport contract lets the handler steal it),
+    // dispatches each user parcel from the worker — so each typed action
+    // spawns with an owner-deque push — and returns the buffer to the
+    // pool.  It is spawned before this handler returns, so the quiescence
+    // books (live threads, spawn count, the transports' delivered and
+    // consumed units) see the work exactly as they saw per-parcel spawns.
+    // `view` spans the payload's heap buffer, which moves with the vector.
+    dst.spawn([this, &dst, &actions, view = *frame,
+               payload = std::move(m.payload)]() mutable {
+      for (auto it = view.begin(); it != view.end(); ++it) {
+        const parcel::parcel_view pv = *it;
+        if (actions.spawns(pv.action())) dst.deliver(pv);
+      }
+      transport_->pool().release(std::move(payload));
+    });
   }
   detail::set_this_locality(caller);
 }

@@ -660,13 +660,15 @@ bool bootstrap::quiesce_round(bool locally_stable, std::uint64_t activity,
   const bool quiescent = all_stable && masks_agree && !membership_changed &&
                          sent_sum == delivered_sum && gather == prev_gather_;
   {
-    // Stuck-round diagnostic: if the machine spins without converging,
-    // say why (which term of the verdict fails and with what numbers).
-    static std::atomic<std::uint64_t> rounds{0};
-    if (!quiescent && (rounds.fetch_add(1) + 1) % 4096 == 0) {
+    // Stuck-round diagnostic: if one wait spins without converging, say
+    // why (which term of the verdict fails and with what numbers).  Only
+    // the current wait's rounds count — healthy waits each take a couple
+    // of rounds, and a process-wide tally would cry wolf on a long run.
+    stalled_rounds_ = quiescent ? 0 : stalled_rounds_ + 1;
+    if (stalled_rounds_ != 0 && stalled_rounds_ % 4096 == 0) {
       PX_LOG_WARN("quiesce not converging after %llu rounds: stable=%d "
                   "masks=%d membership=%d sent=%llu delivered=%llu",
-                  static_cast<unsigned long long>(rounds.load()),
+                  static_cast<unsigned long long>(stalled_rounds_),
                   all_stable ? 1 : 0, masks_agree ? 1 : 0,
                   membership_changed ? 1 : 0,
                   static_cast<unsigned long long>(sent_sum),

@@ -175,6 +175,9 @@ class bootstrap {
   std::vector<int> rank_fds_;     // rank 0: control socket per rank (0 = self)
   int root_fd_ = -1;              // other ranks: socket to rank 0
   std::vector<std::uint64_t> prev_gather_;  // rank 0: last round's vector
+  // Rank 0: consecutive non-quiescent rounds of the current wait (reset
+  // when a verdict lands) — what the stuck-round diagnostic counts.
+  std::uint64_t stalled_rounds_ = 0;
 
   // Heartbeat channel (second connection per rank, opened in exchange()).
   int hb_fd_ = -1;                // non-root: hb socket to rank 0

@@ -414,7 +414,8 @@ bool shm_transport::pump_ring(peer& p) {
       m.payload = std::move(buf);
       count_delivered(m);
       handler_(m);
-      pool_.release(std::move(m.payload));
+      // Recycle the payload's capacity unless the handler stole it.
+      if (m.payload.capacity() > 0) pool_.release(std::move(m.payload));
       account_delivered(p.rank, *count);
     } else {
       pool_.release(std::move(buf));

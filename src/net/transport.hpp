@@ -28,7 +28,14 @@
 //   * handlers run on the backend's delivering thread — its progress
 //     thread, or, on the zero-latency sim fabric, the sending thread
 //     itself — one at a time per endpoint, and must not block; the idle
-//     callback runs on the progress thread and must not block for long.
+//     callback runs on the progress thread and must not block for long;
+//   * a handler may steal the payload; the backend then recycles nothing,
+//     and the thief returns the buffer to pool() whenever it is done —
+//     possibly later, from another thread (the runtime hands a
+//     multi-parcel frame to a worker of the destination locality).  A
+//     frame counts as delivered when the handler returns, whether or not
+//     its payload was stolen: whatever the handler defers must already be
+//     visible to the quiescence books (a spawned thread is).
 #pragma once
 
 #include <atomic>
@@ -97,7 +104,8 @@ class transport {
  public:
   // The payload is owned by the transport after send(): the receive-side
   // handler decodes in place or steals it, and whatever capacity is left is
-  // recycled through pool().
+  // recycled through pool() (a stolen payload is released there by the
+  // thief, later, from any thread).
   using handler = std::function<void(message&)>;
 
   virtual ~transport();  // key function (transport.cpp)

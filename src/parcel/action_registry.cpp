@@ -15,7 +15,7 @@ action_registry::action_registry()
     : entries_(std::make_unique<entry[]>(max_actions)) {}
 
 action_id action_registry::register_action(std::string name,
-                                           view_handler fn) {
+                                           view_handler fn, bool spawns) {
   PX_ASSERT(!name.empty());
   PX_ASSERT(fn != nullptr);
   std::lock_guard lock(lock_);
@@ -26,6 +26,7 @@ action_id action_registry::register_action(std::string name,
   }
   entries_[n].name = std::move(name);
   entries_[n].fn = fn;
+  entries_[n].spawns = spawns;
   // Publish: dispatchers index only below count_, so the release store
   // makes the fully-written slot visible without them taking the lock.
   count_.store(n + 1, std::memory_order_release);

@@ -36,7 +36,15 @@ class action_registry {
 
   // Registers under a unique name; returns the stable id.  Re-registering
   // a name is an error (asserts) — action identity must be unambiguous.
-  action_id register_action(std::string name, view_handler fn);
+  // `spawns` marks a handler whose only work is spawning a ParalleX thread
+  // (every typed action); the rest are control-plane handlers, which must
+  // run inline on the delivering thread and never queue behind user
+  // fibers (runtime::deliver_from_fabric).
+  action_id register_action(std::string name, view_handler fn,
+                            bool spawns = false);
+
+  // Whether `id` was registered as spawning (see register_action).
+  bool spawns(action_id id) const { return at(id).spawns; }
 
   // Invokes the handler for the view's action: zero-copy.
   void dispatch(void* ctx, const parcel_view& pv) const;
@@ -57,6 +65,7 @@ class action_registry {
   struct entry {
     std::string name;
     view_handler fn = nullptr;
+    bool spawns = false;
   };
 
   const entry& at(action_id id) const;

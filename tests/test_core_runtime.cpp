@@ -3,12 +3,15 @@
 // forwarding, processes, and quiescence.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
+#include <vector>
 
 #include "core/action.hpp"
 #include "core/process.hpp"
 #include "core/runtime.hpp"
+#include "dispatch_probe.hpp"
 
 namespace {
 
@@ -115,6 +118,63 @@ TEST(Runtime, InlineDeliveryKeepsEachThreadsLocality) {
   });
   EXPECT_EQ(here_after_send, std::vector<int>(8, 0));
   EXPECT_EQ(remote_here, std::vector<int>(8, 1));
+}
+
+constexpr std::uint64_t kFrameSeqs = 2000;
+std::array<std::atomic<std::uint32_t>, kFrameSeqs> g_frame_runs{};
+std::atomic<std::uint64_t> g_frame_misplaced{0};
+
+std::uint64_t frame_hit(std::uint64_t seq) {
+  core::locality* here = core::this_locality();
+  if (threads::scheduler::self() == nullptr || here == nullptr ||
+      here->id() != 1 || !here->sched().on_worker()) {
+    g_frame_misplaced.fetch_add(1);
+  }
+  g_frame_runs[seq].fetch_add(1);
+  return seq + 1;
+}
+PX_REGISTER_ACTION(frame_hit)
+
+TEST(Runtime, MultiParcelFrameRunsOnDestinationWorker) {
+  // At zero modeled latency locality 0's worker delivers the frames it
+  // ships, but their user actions are locality 1's work: each runs exactly
+  // once on locality 1's worker, never on the sender's, and every
+  // coalesced reply fires before run() returns.  The dispatch probe pins
+  // the handoff: locality 1's worker dispatches the user parcels of a
+  // multi-parcel frame, one task per frame, and only a frame's lone user
+  // parcel is dispatched on the sender's thread.
+  runtime_params p = quick_params(2, 1);
+  p.parcel_flush_count = 256;
+  p.parcel_eager_flush = false;
+  runtime rt(p);
+  ASSERT_TRUE(rt.fabric().delivers_inline());
+  std::uint64_t sum = 0;
+  rt.run([&] {
+    std::vector<lco::future<std::uint64_t>> replies;
+    for (std::uint64_t seq = 0; seq < kFrameSeqs; ++seq) {
+      if (seq % 2 == 0) {
+        replies.push_back(core::async<&frame_hit>(rt.locality_gid(1), seq));
+      } else {
+        core::apply<&frame_hit>(rt.locality_gid(1), seq);
+      }
+      px::test::dispatch_probe::send(*core::this_locality(), 1);
+    }
+    for (auto& f : replies) sum += f.get();
+  });
+  EXPECT_EQ(sum, kFrameSeqs * kFrameSeqs / 4);  // sum of seq + 1, even seq
+  for (std::uint64_t seq = 0; seq < kFrameSeqs; ++seq) {
+    ASSERT_EQ(g_frame_runs[seq].load(), 1u) << "seq " << seq;
+  }
+  EXPECT_EQ(g_frame_misplaced.load(), 0u);
+  // The parcels really travelled in multi-parcel frames.
+  const std::uint64_t frames = rt.fabric().stats(1).messages_received;
+  EXPECT_LT(frames * 4, kFrameSeqs);
+  namespace probe = px::test::dispatch_probe;
+  EXPECT_EQ(probe::ran.load(), kFrameSeqs);
+  EXPECT_LE(probe::off_worker.load(), frames);
+  std::lock_guard g(probe::lock);
+  EXPECT_GE(probe::dispatchers.size(), 1u);
+  EXPECT_LE(probe::dispatchers.size(), frames);
 }
 
 TEST(Runtime, EagerFlushShipsIsolatedRequestImmediately) {

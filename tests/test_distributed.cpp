@@ -21,9 +21,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "core/action.hpp"
 #include "core/echo.hpp"
@@ -225,6 +232,40 @@ TEST(Distributed, RepeatedRunsStayCollective) {
     return;
   }
   px::test::run_ranks(2, "Distributed.RepeatedRunsStayCollective");
+}
+
+// The stuck-round diagnostic counts one wait's rounds, not the process's:
+// every healthy wait takes a non-quiescent round or two, and thousands of
+// them in a row must not add up to a "not converging" alarm.
+TEST(Distributed, ManyEmptyRunsLogNoQuiesceStall) {
+  if (px::test::is_rank_child()) {
+    // Capture this rank's stderr (rank 0 is the one that would warn).
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("px_quiesce_log." + std::to_string(::getpid())))
+            .string();
+    const int log_fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0600);
+    ASSERT_GE(log_fd, 0);
+    std::fflush(stderr);
+    const int saved_stderr = ::dup(2);
+    ::dup2(log_fd, 2);
+    {
+      runtime rt;
+      for (int i = 0; i < 4500; ++i) rt.run([] {});
+      rt.stop();
+    }
+    std::fflush(stderr);
+    ::dup2(saved_stderr, 2);
+    ::close(saved_stderr);
+    ::close(log_fd);
+    std::ifstream in(path);
+    const std::string log((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    EXPECT_EQ(log.find("quiesce not converging"), std::string::npos) << log;
+    return;
+  }
+  px::test::run_ranks(2, "Distributed.ManyEmptyRunsLogNoQuiesceStall");
 }
 
 TEST(Distributed, QueryCounterAcrossProcesses) {

@@ -1,14 +1,17 @@
 // Unit tests for the shared-memory data plane: the whole-frame delivery
 // seam (frame_assembler bypass + frame_view::parse poison path), the
 // shm_segment RAII lifetime, two in-process shm_transport instances
-// exercising the ring/doorbell protocol end to end, and the traffic-book
-// contract every multi-process backend (tcp and shm) shares.
+// exercising the ring/doorbell protocol end to end, the traffic-book
+// contract every multi-process backend (tcp and shm) shares, and how a
+// 2-rank runtime dispatches the frames such a backend delivers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,11 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include "core/action.hpp"
+#include "core/runtime.hpp"
+#include "dispatch_probe.hpp"
+#include "distributed_helpers.hpp"
+#include "gas/resolve.hpp"
 #include "net/shm_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "parcel/parcel.hpp"
@@ -403,6 +411,138 @@ TYPED_TEST(BackendBooks, FaultDroppedFrameCountsAsSent) {
 
   a->expect_peer_disconnects();
   b->expect_peer_disconnects();
+}
+
+// ------------------------------------ frame dispatch on a 2-rank runtime
+//
+// Each typed case runs as parent + two rank processes over its backend
+// (distributed_helpers.hpp); the books below are rank-local.
+
+template <typename Backend>
+class FrameDispatch : public ::testing::Test {
+ protected:
+  // Re-executes this very case once per rank over the backend.
+  static void run_ranks(const px::test::env_list& env) {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    px::test::run_ranks_with_env(
+        2, std::string(info->test_suite_name()) + "." + info->name(),
+        Backend::name, env, {0, 0});
+  }
+};
+TYPED_TEST_SUITE(FrameDispatch, multi_process_backends);
+
+constexpr std::uint64_t kFrameSeqs = 3000;
+std::array<std::atomic<std::uint32_t>, kFrameSeqs> g_frame_runs{};
+std::atomic<std::uint64_t> g_frame_misplaced{0};
+
+std::uint64_t frame_hit(std::uint64_t seq) {
+  core::locality* here = core::this_locality();
+  if (threads::scheduler::self() == nullptr || here == nullptr ||
+      here->id() != 1 || !here->sched().on_worker()) {
+    g_frame_misplaced.fetch_add(1);
+  }
+  g_frame_runs[seq].fetch_add(1);
+  return 3 * seq + 1;
+}
+PX_REGISTER_ACTION(frame_hit)
+
+// Frames that carry hundreds of parcels: every user action runs exactly
+// once, on rank 1's worker, every coalesced async reply fires, and run()
+// returns only after the last action has run.  The dispatch probe pins
+// the handoff: rank 1's worker, not its progress thread, dispatches the
+// user parcels of a multi-parcel frame, one task per frame — only a
+// frame's lone user parcel is dispatched on the delivering thread.
+TYPED_TEST(FrameDispatch, ManyParcelFramesRunOnDestinationWorker) {
+  if (!px::test::is_rank_child()) {
+    // No eager flush: a slow (sanitized) sender would otherwise find the
+    // channel quiet before each parcel and ship it alone.
+    this->run_ranks({{"PX_PARCEL_FLUSH_COUNT", "512"},
+                     {"PX_PARCEL_EAGER_FLUSH", "0"}});
+    return;
+  }
+  core::runtime rt;
+  ASSERT_TRUE(rt.distributed());
+  ASSERT_EQ(rt.port(rt.rank()).params().flush_count, 512u);
+  rt.run([&] {
+    if (rt.rank() != 0) return;
+    std::vector<lco::future<std::uint64_t>> replies;
+    for (std::uint64_t seq = 0; seq < kFrameSeqs; ++seq) {
+      if (seq % 2 == 0) {
+        replies.push_back(core::async<&frame_hit>(rt.locality_gid(1), seq));
+      } else {
+        core::apply<&frame_hit>(rt.locality_gid(1), seq);
+      }
+      px::test::dispatch_probe::send(*core::this_locality(), 1);
+    }
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      EXPECT_EQ(replies[i].get(), 3 * (2 * i) + 1);
+    }
+  });
+  if (rt.rank() == 1) {
+    // run() is collective: rank 1 is past it only once every action ran.
+    for (std::uint64_t seq = 0; seq < kFrameSeqs; ++seq) {
+      ASSERT_EQ(g_frame_runs[seq].load(), 1u) << "seq " << seq;
+    }
+    EXPECT_EQ(g_frame_misplaced.load(), 0u);
+    // The parcels really arrived in multi-parcel frames.
+    const std::uint64_t frames = rt.transport().stats(1).messages_received;
+    EXPECT_LT(frames * 4, kFrameSeqs);
+    namespace probe = px::test::dispatch_probe;
+    EXPECT_EQ(probe::ran.load(), kFrameSeqs);
+    EXPECT_LE(probe::off_worker.load(), frames);
+    std::lock_guard g(probe::lock);
+    EXPECT_GE(probe::dispatchers.size(), 1u);
+    EXPECT_LE(probe::dispatchers.size(), frames);
+  }
+  rt.stop();
+}
+
+std::atomic<std::uint64_t> g_pinned_hits{0};
+
+void pinned_hit() { g_pinned_hits.fetch_add(1); }
+PX_REGISTER_ACTION(pinned_hit)
+
+const gas::gid kProbe = gas::gid::make(gas::gid_kind::data, 0, 0x5eed);
+
+// Rank 0's half: one frame of user parcels with a control-plane parcel
+// (px.agas_hint) coalesced behind them.
+void send_pinned_frame() {
+  core::locality& here = *core::this_locality();
+  for (int i = 0; i < 64; ++i) {
+    core::apply<&pinned_hit>(here.rt().locality_gid(1));
+  }
+  gas::send_owner_hint(here, 1, kProbe, 0);
+}
+PX_REGISTER_ACTION(send_pinned_frame)
+
+// The control-plane invariant: a control parcel coalesced with user
+// parcels is handled on the delivering thread even while the destination's
+// only worker is pinned by a fiber that never yields — it must not queue
+// behind the user parcels of its frame.
+TYPED_TEST(FrameDispatch, ControlParcelSkipsPinnedWorker) {
+  if (!px::test::is_rank_child()) {
+    this->run_ranks({{"PX_PARCEL_FLUSH_COUNT", "512"},
+                     {"PX_PARCEL_EAGER_FLUSH", "0"}});
+    return;
+  }
+  core::runtime rt;  // one worker per locality
+  ASSERT_TRUE(rt.distributed());
+  ASSERT_EQ(rt.at(rt.rank()).sched().worker_count(), 1u);
+  rt.run([&] {
+    if (rt.rank() == 0) return;
+    // Rank 1 pins its only worker here, then asks rank 0 for the frame.
+    core::apply<&send_pinned_frame>(rt.locality_gid(0));
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!rt.gas().cached(1, kProbe).has_value() &&
+           std::chrono::steady_clock::now() < deadline) {
+    }
+    EXPECT_EQ(rt.gas().cached(1, kProbe), std::optional<gas::locality_id>(0))
+        << "px.agas_hint waited behind the pinned worker";
+  });
+  if (rt.rank() == 1) {
+    EXPECT_EQ(g_pinned_hits.load(), 64u);
+  }
+  rt.stop();
 }
 
 }  // namespace
