@@ -15,8 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/histogram.hpp"
-
 namespace px::bench {
 
 // CI smoke mode: PX_BENCH_SMOKE=1 shrinks workloads to seconds-scale so
@@ -110,22 +108,6 @@ inline void add_metadata(json_writer& json, const std::string& backend) {
                            std::thread::hardware_concurrency()));
   json.add("timestamp_unix",
            static_cast<std::int64_t>(std::time(nullptr)));
-}
-
-// Distribution summary block: every BENCH_*.json percentile field set goes
-// through here so the schema stays uniform — a dashboard thresholding
-// `<prefix>_p99` on one bench can threshold it on all of them, and the
-// p999 tail (the column the telemetry plane's latency models fit against)
-// is never silently absent.
-inline void add_hist_percentiles(json_writer& json, const std::string& prefix,
-                                 const util::log_histogram& hist) {
-  json.add(prefix + "_count", static_cast<std::int64_t>(hist.count()));
-  json.add(prefix + "_mean", hist.stats().mean());
-  json.add(prefix + "_p50", hist.p50());
-  json.add(prefix + "_p95", hist.quantile(0.95));
-  json.add(prefix + "_p99", hist.p99());
-  json.add(prefix + "_p999", hist.p999());
-  json.add(prefix + "_max", hist.stats().max());
 }
 
 inline void banner(const char* experiment_id, const char* paper_claim) {

@@ -99,9 +99,6 @@ void visit(runtime_params& p, F&& f) {
   f(knob<bool>{"parcel.eager_flush", "PX_PARCEL_EAGER_FLUSH", true,
                scope::machine, "first-parcel eager flush on/off"},
     &p.parcel_eager_flush);
-  f(knob<bool>{"migration", "PX_MIGRATION", true, scope::machine,
-               "cross-process object migration on/off (tcp/shm)"},
-    &p.net.migration);
   f(knob<bool>{"rebalance", "PX_REBALANCE", rebalancer_params{}.enabled,
                scope::machine, "adaptive rebalancer on/off"},
     &p.rebalance);

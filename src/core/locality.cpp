@@ -198,7 +198,7 @@ bool locality::hint_gate_allows(gas::gid dest, gas::locality_id source) {
 }
 
 void locality::send_forward_feedback(const parcel::parcel& p) {
-  if (!rt_.distributed() || !rt_.migration_enabled()) return;
+  if (!rt_.distributed()) return;
   if (p.source == gas::invalid_locality || p.source == id_) return;
   if (!hint_gate_allows(p.destination, p.source)) return;
   if (rt_.effective_home(p.destination) == id_) {
@@ -268,38 +268,11 @@ void locality::note_dispatch_latency(std::uint64_t send_ts_ns) noexcept {
   dispatch_hist_.add(lat > 0 ? static_cast<double>(lat) : 0.0);
 }
 
-void locality::deliver(parcel::parcel p) {
-  parcels_delivered_.fetch_add(1, std::memory_order_relaxed);
-  if (arriving_needs_forward(p.destination)) {
-    send_forward_feedback(p);
-    p.forwards += 1;
-    parcels_forwarded_.fetch_add(1, std::memory_order_relaxed);
-    rt_.route(id_, std::move(p));
-    return;
-  }
-  note_heat(p.destination);
-  if (introspect::stats_armed() && p.send_ts_ns != 0) {
-    note_dispatch_latency(p.send_ts_ns);
-  }
-  if (p.trace_id != 0 && trace::enabled()) {
-    trace::emit(trace::event_kind::parcel_dispatch, p.trace_id, p.trace_span,
-                0, p.destination.bits(),
-                static_cast<std::uint32_t>(p.action));
-    // Run the action under the parcel's causal identity: a raw action
-    // dispatches inline under this scope, and a typed action's fiber
-    // inherits it through scheduler::spawn's context capture.
-    trace::scope s(trace::context{p.trace_id, p.trace_span});
-    parcel::action_registry::global().dispatch(this, p);
-    return;
-  }
-  parcel::action_registry::global().dispatch(this, p);
-}
-
 void locality::deliver(const parcel::parcel_view& pv) {
   parcels_delivered_.fetch_add(1, std::memory_order_relaxed);
   if (arriving_needs_forward(pv.destination())) {
-    // Rare path: the view's frame is owned by the fabric, so the reroute
-    // needs an owning copy.
+    // Rare path: the view only borrows its bytes (a fabric frame, or the
+    // local fast path's parcel), so the reroute needs an owning copy.
     parcel::parcel p = pv.to_parcel();
     send_forward_feedback(p);
     p.forwards += 1;
@@ -315,6 +288,9 @@ void locality::deliver(const parcel::parcel_view& pv) {
     trace::emit(trace::event_kind::parcel_dispatch, pv.trace_id(),
                 pv.trace_span(), 0, pv.destination().bits(),
                 static_cast<std::uint32_t>(pv.action()));
+    // Run the action under the parcel's causal identity: a raw action
+    // dispatches inline under this scope, and a typed action's fiber
+    // inherits it through scheduler::spawn's context capture.
     trace::scope s(trace::context{pv.trace_id(), pv.trace_span()});
     parcel::action_registry::global().dispatch(this, pv);
     return;

@@ -85,11 +85,9 @@ class locality {
   void send(parcel::parcel p);
 
   // A parcel has arrived at this locality: verify ownership, forward if
-  // stale, else dispatch.  The owned-parcel overload serves the local fast
-  // path (no encode round trip); the view overload serves the fabric path
-  // and dispatches zero-copy — the view's backing frame is only borrowed,
-  // so a forward (the rare path) materializes a copy.
-  void deliver(parcel::parcel p);
+  // stale, else dispatch.  Dispatch is zero-copy: the view borrows a
+  // fabric frame or, on the local fast path, the sender's parcel
+  // (parcel_view::of), so a forward (the rare path) materializes a copy.
   void deliver(const parcel::parcel_view& pv);
 
   // Bookkeeping for runtime::route's forward-bound enforcement.

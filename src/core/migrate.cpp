@@ -11,6 +11,8 @@
 #include "lco/lco.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
+#include "util/clock.hpp"
+#include "util/log.hpp"
 
 namespace px::core {
 
@@ -48,9 +50,32 @@ std::vector<gas::gid> runtime::migratable_residents(gas::locality_id where,
   return out;
 }
 
-bool runtime::claim_migration(gas::gid id) {
-  std::lock_guard lock(migrating_lock_);
-  return migrating_.insert(id).second;
+bool runtime::claim_migration(gas::gid id, migration_leg leg,
+                              gas::locality_id peer) {
+  constexpr std::int64_t kReportAgeNs = 100'000'000;  // 100 ms
+  const std::int64_t now = util::now_ns();
+  migration_claim held;
+  {
+    std::lock_guard lock(migrating_lock_);
+    const auto [it, inserted] =
+        migrating_.try_emplace(id, migration_claim{leg, peer, now, false});
+    if (inserted) return true;
+    if (it->second.reported || now - it->second.since_ns < kReportAgeNs) {
+      return false;
+    }
+    it->second.reported = true;
+    held = it->second;
+  }
+  static constexpr const char* kLegs[] = {
+      "in-process move to", "source awaiting the implant ack from",
+      "destination awaiting the directory ack from home"};
+  PX_LOG_WARN("migration of %s refused: claim held for %.1f ms by the %s "
+              "rank %u",
+              id.to_string().c_str(),
+              static_cast<double>(now - held.since_ns) / 1e6,
+              kLegs[static_cast<int>(held.leg)],
+              static_cast<unsigned>(held.peer));
+  return false;
 }
 
 void runtime::release_migration(gas::gid id) {
@@ -93,16 +118,16 @@ std::uint8_t runtime::migrate_implant(const parcel::migration_record& rec) {
   // pointing at a rank that already retired its copy — a permanently
   // stranded object.  Serializing handoff N+1 behind handoff N's home ack
   // makes directory-update application order follow real time.
-  const bool claimed = claim_migration(id);
+  // effective_home: if the gid's encoded home died, the directory flip
+  // goes to (or happens at) the adopted shard's successor instead.
+  const gas::locality_id dir_home = effective_home(id);
+  const bool claimed = claim_migration(id, migration_leg::home_ack, dir_home);
   PX_ASSERT_MSG(claimed,
                 "migration implant for a gid already mid-handoff here");
   tag_migratable_object(id, rec.type_name);
   // Implant before the directory flips: from this moment a parcel landing
   // here (raced ahead on a fresh hint) dispatches instead of bouncing.
   here().put_object(id, std::move(obj));
-  // effective_home: if the gid's encoded home died, the directory flip
-  // goes to (or happens at) the adopted shard's successor instead.
-  const gas::locality_id dir_home = effective_home(id);
   if (dir_home == rank_) {
     apply_agas_update(id, rank_);
   } else {
@@ -149,8 +174,13 @@ bool runtime::migrate_gid_async(gas::gid id, gas::locality_id from,
       to >= params_.localities || peer_lost(to)) {
     return false;
   }
-  if (distributed_ && (!migration_enabled_ || from != rank_)) return false;
-  if (!claim_migration(id)) return false;
+  if (distributed_ && from != rank_) return false;
+  if (!claim_migration(id,
+                       distributed_ ? migration_leg::implant_ack
+                                    : migration_leg::in_process,
+                       to)) {
+    return false;
+  }
 
   if (!distributed_) {
     // The shared_ptr handoff.  Only an object the directory still places

@@ -195,22 +195,12 @@ runtime::runtime(runtime_params params)
   }
 
   // Rank-scope rebalancer tuning and the machine-agreed toggle.
-  // Cross-process rebalancing *is* cross-process migration, so it cannot
-  // run with the protocol off.
   rebalancer_params rp;
   rp.enabled = *params_.rebalance;
   rp.threshold = *params_.rebalance_threshold;
   rp.min_depth = *params_.rebalance_min_depth;
   rp.max_migrations = *params_.rebalance_max_migrations;
   rp.interval_us = *params_.rebalance_interval_us;
-  if (distributed_) {
-    migration_enabled_ = *params_.net.migration;
-    if (rp.enabled && !migration_enabled_) {
-      PX_LOG_WARN("rebalancer disabled: PX_MIGRATION=0 pins objects to "
-                  "their home ranks");
-      rp.enabled = false;
-    }
-  }
 
   parcel_port_params pp;
   pp.flush_bytes = *params_.parcel_flush_bytes;
@@ -665,18 +655,15 @@ gas::locality_id runtime::owner_of(gas::locality_id from, gas::gid id) {
     const gas::locality_id home = effective_home(id);
     if (home != rank_) {
       // The authoritative directory shard lives in the (effective) home
-      // rank's process.  With migration off the home *is* the owner by
-      // construction; with it on, a forwarding-cache hint (learned from a
-      // home forward's piggyback or an explicit px.agas_resolve)
+      // rank's process.  A forwarding-cache hint (learned from a home
+      // forward's piggyback or an explicit px.agas_resolve)
       // short-circuits the extra hop — unless it points at a casualty
       // (purged on the death verdict, but a racing read can still see
       // one), and absent a hint the parcel routes to the home, whose
       // directory forwards it onward — always correct, at most one hop
       // stale.
-      if (migration_enabled_) {
-        if (const auto hint = agas_.cached(rank_, id)) {
-          if (!peer_lost(*hint)) return *hint;
-        }
+      if (const auto hint = agas_.cached(rank_, id)) {
+        if (!peer_lost(*hint)) return *hint;
       }
       return home;
     }
@@ -724,8 +711,9 @@ void runtime::route(gas::locality_id from, parcel::parcel p) {
   if (owner == from) {
     // Local fast path: intra-locality parcels do not touch the fabric
     // (the locality is the synchronous domain; its internal latency is
-    // the scheduler's, not the network's).
-    at(owner).deliver(std::move(p));
+    // the scheduler's, not the network's).  The view borrows `p`, which
+    // outlives the dispatch.
+    at(owner).deliver(parcel::parcel_view::of(p));
     return;
   }
   const auto dest_ep = static_cast<net::endpoint_id>(owner);

@@ -137,11 +137,6 @@ class runtime {
   gas::locality_id rank() const noexcept { return rank_; }
   // The locality this process hosts (rank in distributed mode, 0 here).
   locality& here() { return at(rank_); }
-  // Whether cross-process object migration (and the owner-hint forwarding
-  // protocol that serves it) is live.  Always false single-process —
-  // in-process migration needs no wire protocol; PX_MIGRATION=0 restores
-  // static home-owned placement on the tcp and shm backends.
-  bool migration_enabled() const noexcept { return migration_enabled_; }
 
   gas::agas& gas() noexcept { return agas_; }
   gas::name_service& names() noexcept { return names_; }
@@ -289,6 +284,19 @@ class runtime {
   bool migrate_gid_async(gas::gid id, gas::locality_id from,
                          gas::locality_id to, std::function<void(bool)> done);
 
+  // The per-gid claim a move holds from start to finish, naming the leg
+  // it waits on and the peer that leg waits for.  claim_migration is
+  // false when the gid is already mid-move; refusing a claim older than
+  // 100 ms logs, once per claim, which leg holds it, toward which rank
+  // and for how long.
+  enum class migration_leg : std::uint8_t {
+    in_process,   // single-process move: held only for the call
+    implant_ack,  // source: awaiting the destination's implant ack
+    home_ack,     // destination: awaiting the home's directory ack
+  };
+  bool claim_migration(gas::gid id, migration_leg leg, gas::locality_id peer);
+  void release_migration(gas::gid id);
+
   // Records/queries the migratable type name a gid was created under
   // (new_migratable tags at creation; cross-process implants re-tag at the
   // destination so onward migrations keep working).
@@ -369,11 +377,6 @@ class runtime {
                       parcel::continuation ack);
   void send_agas_update(gas::locality_id home, gas::gid id,
                         parcel::continuation cont = {});
-  // The per-gid migration claim (migrating_): false when the gid is
-  // already mid-move.
-  bool claim_migration(gas::gid id);
-  void release_migration(gas::gid id);
-
   runtime_params params_;
   gas::agas agas_;
   gas::name_service names_;
@@ -407,11 +410,18 @@ class runtime {
   // Migration bookkeeping: which gids carry a registered migratable type
   // (gid -> type name), and which are mid-move in either shape (a
   // cross-process handoff cannot hold a spinlock across its suspension
-  // points, so in-flight gids are claimed in a set instead).
+  // points, so in-flight gids are claimed in a map instead, each naming
+  // the leg it waits on).
   mutable util::spinlock mig_types_lock_;
   std::unordered_map<gas::gid, std::string> mig_types_;
+  struct migration_claim {
+    migration_leg leg;
+    gas::locality_id peer;
+    std::int64_t since_ns;
+    bool reported;  // a refusal already logged this claim's age
+  };
   util::spinlock migrating_lock_;
-  std::unordered_set<gas::gid> migrating_;
+  std::unordered_map<gas::gid, migration_claim> migrating_;
 
   // Flight-recorder bookkeeping: the boot-time counter snapshot the dump
   // trailer deltas against, and this rank's steady-clock offset from rank
@@ -438,7 +448,6 @@ class runtime {
   std::unordered_set<gas::gid> lost_gids_;
   std::atomic<std::uint64_t> gids_lost_{0};
 
-  bool migration_enabled_ = false;  // cross-process protocol (tcp, shm)
   bool distributed_ = false;
   gas::locality_id rank_ = 0;  // this process's locality (0 when sim)
   bool started_ = false;

@@ -60,15 +60,14 @@ namespace px::net {
 using endpoint_id = std::uint32_t;
 
 // Backend selection and distributed identity.  An unset field resolves
-// through the knob table (core/knobs.cpp: PX_NET_*, PX_MIGRATION), the
-// launcher's channel to its ranks; explicit values win.
+// through the knob table (core/knobs.cpp: PX_NET_*), the launcher's
+// channel to its ranks; explicit values win.
 struct net_params {
   std::optional<std::string> backend;     // "sim" | "tcp" | "shm"
   std::optional<std::int64_t> rank;       // this process's locality id
   std::optional<std::int64_t> ranks;      // total processes (tcp/shm)
   std::optional<std::string> listen;      // data-plane bind (tcp)
   std::optional<std::string> root;        // rank 0's control address
-  std::optional<bool> migration;          // cross-process AGAS moves
 };
 
 struct message {

@@ -44,10 +44,6 @@ void action_registry::dispatch(void* ctx, const parcel_view& pv) const {
   at(pv.action()).fn(ctx, pv);
 }
 
-void action_registry::dispatch(void* ctx, const parcel& p) const {
-  at(p.action).fn(ctx, parcel_view::of(p));  // borrows p.arguments, no copy
-}
-
 std::optional<action_id> action_registry::find(std::string_view name) const {
   std::lock_guard lock(lock_);
   const std::uint32_t n = count_.load(std::memory_order_relaxed);

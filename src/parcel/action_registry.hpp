@@ -48,9 +48,6 @@ class action_registry {
 
   // Invokes the handler for the view's action: zero-copy.
   void dispatch(void* ctx, const parcel_view& pv) const;
-  // Dispatches an owned parcel (local fast path): the handler borrows it
-  // without copying.
-  void dispatch(void* ctx, const parcel& p) const;
 
   std::optional<action_id> find(std::string_view name) const;
   const std::string& name_of(action_id id) const;

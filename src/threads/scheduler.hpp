@@ -170,6 +170,8 @@ class scheduler {
   util::spinlock inject_drain_lock_;  // MPSC pop is single-consumer
   stack_pool stacks_;
 
+  // The fiber-stack cache: finished descriptors keep their stacks for
+  // reuse, unbounded; stacks are unmapped only in ~scheduler.
   util::spinlock free_lock_;
   std::vector<thread_descriptor*> free_descriptors_;
 

@@ -3,26 +3,17 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <mutex>
-
 #include "util/assert.hpp"
 
 namespace px::threads {
 
-stack_pool::stack_pool(std::size_t usable_bytes, std::size_t max_pooled)
-    : page_size_(static_cast<std::size_t>(::sysconf(_SC_PAGESIZE))),
-      max_pooled_(max_pooled) {
+stack_pool::stack_pool(std::size_t usable_bytes)
+    : page_size_(static_cast<std::size_t>(::sysconf(_SC_PAGESIZE))) {
   usable_bytes_ = ((usable_bytes + page_size_ - 1) / page_size_) * page_size_;
   PX_ASSERT(usable_bytes_ >= page_size_);
 }
 
-stack_pool::~stack_pool() {
-  std::lock_guard lock(lock_);
-  for (const auto& s : free_) destroy(s);
-  free_.clear();
-}
-
-stack stack_pool::create() {
+stack stack_pool::allocate() {
   const std::size_t total = usable_bytes_ + page_size_;
   void* base = ::mmap(nullptr, total, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
@@ -35,44 +26,6 @@ stack stack_pool::create() {
   return s;
 }
 
-void stack_pool::destroy(const stack& s) { ::munmap(s.base, s.size); }
-
-stack stack_pool::allocate() {
-  {
-    std::lock_guard lock(lock_);
-    ++outstanding_;
-    if (!free_.empty()) {
-      stack s = free_.back();
-      free_.pop_back();
-      return s;
-    }
-  }
-  return create();
-}
-
-void stack_pool::deallocate(stack s) {
-  {
-    std::lock_guard lock(lock_);
-    PX_ASSERT(outstanding_ > 0);
-    --outstanding_;
-    if (free_.size() < max_pooled_) {
-      free_.push_back(s);
-      return;
-    }
-  }
-  // Over the cap: unmap outside the lock (munmap is a syscall; keeping it
-  // out of the critical section keeps allocate() latency flat).
-  destroy(s);
-}
-
-std::size_t stack_pool::outstanding() const noexcept {
-  std::lock_guard lock(lock_);
-  return outstanding_;
-}
-
-std::size_t stack_pool::pooled() const noexcept {
-  std::lock_guard lock(lock_);
-  return free_.size();
-}
+void stack_pool::deallocate(stack s) { ::munmap(s.base, s.size); }
 
 }  // namespace px::threads

@@ -1,15 +1,12 @@
-// Fiber stack allocation with guard pages and pooling.
+// Fiber stack allocation with guard pages.
 //
-// ParalleX threads are ephemeral: workloads spawn millions of short threads,
-// so stacks must be recycled, not re-mmapped.  Each stack carries a
-// PROT_NONE guard page at its low end so overflow faults immediately instead
-// of corrupting a neighbouring fiber.
+// Each stack carries a PROT_NONE guard page at its low end so overflow
+// faults immediately instead of corrupting a neighbouring fiber.  Stacks
+// are recycled by the scheduler with their thread descriptors
+// (scheduler::recycle), so this layer only maps and unmaps.
 #pragma once
 
 #include <cstddef>
-#include <vector>
-
-#include "util/spinlock.hpp"
 
 namespace px::threads {
 
@@ -24,35 +21,16 @@ struct stack {
 class stack_pool {
  public:
   // usable_bytes is rounded up to whole pages; the guard page is extra.
-  // At most max_pooled retired stacks are cached for reuse; beyond that,
-  // deallocate() unmaps immediately so a burst of a million short threads
-  // does not pin a million stacks of address space forever.
-  explicit stack_pool(std::size_t usable_bytes = 64 * 1024,
-                      std::size_t max_pooled = 128);
-  ~stack_pool();
-
-  stack_pool(const stack_pool&) = delete;
-  stack_pool& operator=(const stack_pool&) = delete;
+  explicit stack_pool(std::size_t usable_bytes = 64 * 1024);
 
   stack allocate();
   void deallocate(stack s);
 
   std::size_t usable_bytes() const noexcept { return usable_bytes_; }
-  std::size_t max_pooled() const noexcept { return max_pooled_; }
-  std::size_t outstanding() const noexcept;
-  std::size_t pooled() const noexcept;
 
  private:
-  stack create();
-  static void destroy(const stack& s);
-
   std::size_t usable_bytes_;
   std::size_t page_size_;
-  std::size_t max_pooled_;
-
-  mutable util::spinlock lock_;
-  std::vector<stack> free_;
-  std::size_t outstanding_ = 0;
 };
 
 }  // namespace px::threads

@@ -5,7 +5,10 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/action.hpp"
@@ -266,14 +269,53 @@ TEST(Runtime, ParcelsFollowMigratedObjects) {
   rt.run([&] { core::apply<&hit_counter>(obj, obj.bits()); });
   EXPECT_EQ(rt.get_local<counter_object>(0, obj)->hits.load(), 1);
 
-  // Warm locality 1's AGAS cache, then migrate away and send again from
-  // locality 1: the parcel lands on the stale owner and must be forwarded.
+  // Migrate 0 -> 2 and send again from locality 0, whose AGAS cache still
+  // names itself: the parcel takes route()'s local fast path, finds the
+  // object gone and is forwarded through an owning copy of the view.  The
+  // hit on locality 2 shows the arguments survived the copy.
   EXPECT_TRUE(rt.migrate_gid(obj, 2));
   rt.run([&] { core::apply<&hit_counter>(obj, obj.bits()); });
   auto moved = rt.get_local<counter_object>(2, obj);
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(moved->hits.load(), 2);
   EXPECT_FALSE(rt.at(0).has_object(obj));
+  EXPECT_EQ(rt.at(0).stats().parcels_forwarded, 1u);
+}
+
+// A move refused because the gid is still claimed says nothing while the
+// claim is young; once the claim is over 100 ms old, the refusal names the
+// leg that holds it, the peer it waits for and the claim's age, once per
+// claim.
+TEST(Runtime, RefusedMigrationNamesTheLegItWaitsOn) {
+  runtime rt(quick_params(3));
+  rt.start();
+  const gas::gid obj = rt.new_object<counter_object>(0);
+  ASSERT_TRUE(
+      rt.claim_migration(obj, runtime::migration_leg::implant_ack, 2));
+
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(rt.migrate_gid(obj, 1));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(rt.migrate_gid(obj, 1));
+  EXPECT_FALSE(rt.migrate_gid(obj, 2));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("migration of " + obj.to_string() +
+                     " refused: claim held for "),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find(" ms by the source awaiting the implant ack from "
+                     "rank 2\n"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("refused"), err.rfind("refused")) << err;
+
+  rt.release_migration(obj);
+  EXPECT_TRUE(rt.migrate_gid(obj, 1));
+  EXPECT_TRUE(rt.at(1).has_object(obj));
+  rt.stop();
 }
 
 TEST(Runtime, ForwardBoundDropsWithDiagnostic) {

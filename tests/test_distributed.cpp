@@ -490,7 +490,6 @@ TEST(Distributed, MigrationMovesObjectAndParcelsFollow4) {
   constexpr std::uint64_t kPokes = 40;
   if (px::test::is_rank_child()) {
     runtime rt;
-    ASSERT_TRUE(rt.migration_enabled());
     const auto n = static_cast<std::uint32_t>(rt.num_localities());
     std::uint64_t pokes_sent_here = 0;
 

@@ -138,8 +138,7 @@ TEST(Docs, NoUndocumentedKnobTokensInCountersDoc) {
   for (const auto& k : core::knobs::rows()) known.insert(k.env);
   // Bench/test-harness variables documented for completeness but resolved
   // by the bench drivers and launchers, not by the runtime.
-  for (const char* extra :
-       {"PX_BENCH_SMOKE", "PX_BENCH_NET", "PX_BENCH_DIST"}) {
+  for (const char* extra : {"PX_BENCH_SMOKE", "PX_BENCH_DIST"}) {
     known.insert(extra);
   }
 

@@ -451,7 +451,7 @@ TEST(ActionRegistry, RegisterDispatchByIdAndName) {
   parcel::parcel p;
   p.action = id;
   int ctx_obj = 0;
-  reg.dispatch(&ctx_obj, p);
+  reg.dispatch(&ctx_obj, parcel_view::of(p));
   EXPECT_EQ(g_hello_hits, 1);
   EXPECT_EQ(g_hello_ctx, &ctx_obj);
 }
@@ -470,7 +470,7 @@ TEST(ActionRegistry, FunctionPointerFastPathDispatchesViews) {
   parcel::parcel p;
   p.action = id;
   p.arguments = std::vector<std::byte>(5);
-  reg.dispatch(nullptr, p);
+  reg.dispatch(nullptr, parcel_view::of(p));
   EXPECT_EQ(g_fast_hits, 5);
 
   // Dispatch from a wire view: zero-copy end to end.

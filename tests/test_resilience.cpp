@@ -462,7 +462,6 @@ PX_REGISTER_ACTION(resil_poke)
 // gids_lost, and parcels aimed at it drop instead of wedging the machine.
 void rehome_rank_body() {
   core::runtime rt;
-  ASSERT_TRUE(rt.migration_enabled());
   const auto n = static_cast<std::uint32_t>(rt.num_localities());
 
   // Phase 1: create and announce.  A homed at rank 2, B homed at rank 1.

@@ -103,39 +103,9 @@ TEST(Context, RoundTripsFpControlState) {
 
 // ------------------------------------------------------------------ stack
 
-TEST(StackPool, RecyclesStacks) {
-  stack_pool pool(16 * 1024);
-  stack a = pool.allocate();
-  ASSERT_TRUE(a.valid());
-  EXPECT_EQ(pool.outstanding(), 1u);
-  void* top = a.top;
-  pool.deallocate(a);
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.pooled(), 1u);
-  stack b = pool.allocate();
-  EXPECT_EQ(b.top, top);  // same stack came back
-  pool.deallocate(b);
-}
-
 TEST(StackPool, RoundsUpToPages) {
   stack_pool pool(1);
   EXPECT_GE(pool.usable_bytes(), 4096u);
-}
-
-TEST(StackPool, BoundsPooledStacks) {
-  constexpr std::size_t kCap = 4;
-  stack_pool pool(16 * 1024, kCap);
-  std::vector<stack> stacks;
-  for (int i = 0; i < 16; ++i) stacks.push_back(pool.allocate());
-  EXPECT_EQ(pool.outstanding(), 16u);
-  for (auto& s : stacks) pool.deallocate(s);
-  EXPECT_EQ(pool.outstanding(), 0u);
-  // Only the cap survives in the free list; the overflow was unmapped.
-  EXPECT_EQ(pool.pooled(), kCap);
-  // The cap holds across further churn.
-  stack again = pool.allocate();
-  pool.deallocate(again);
-  EXPECT_LE(pool.pooled(), kCap);
 }
 
 TEST(StackPool, StacksAreWritable) {

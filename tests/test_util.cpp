@@ -306,8 +306,8 @@ TEST(Knobs, MalformedValuesAbortNamingTheVariable) {
 
 // The machine-scope rows encode to the wire-params layout every rank
 // decodes: flush bytes (u64), flush count (u32), then max_forwards, eager
-// flush, migration, rebalance, trace and stats as one byte each, then the
-// tail string.
+// flush, rebalance, trace and stats as one byte each, then the tail
+// string.
 TEST(Knobs, MachineRowsEncodeToTheWireLayout) {
   px::core::runtime_params p;
   p.parcel_flush_bytes = 8192;
@@ -316,8 +316,8 @@ TEST(Knobs, MachineRowsEncodeToTheWireLayout) {
   px::core::knobs::resolve(p);
   const auto blob = px::core::knobs::encode_machine(p, "tail");
   EXPECT_EQ(blob, to_bytes(std::uint64_t{8192}, std::uint32_t{64},
-                           std::uint8_t{16}, std::uint8_t{0}, std::uint8_t{1},
-                           std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{0},
+                           std::uint8_t{16}, std::uint8_t{0}, std::uint8_t{0},
+                           std::uint8_t{1}, std::uint8_t{0},
                            std::string("tail")));
 
   px::core::runtime_params q;
